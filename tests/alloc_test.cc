@@ -42,7 +42,9 @@ uint64_t StopCounting() {
 // translation unit of the program). new counts and mallocs; delete frees.
 // The aligned overloads are deliberately not replaced: nothing on the paths
 // under test over-aligns, and the default ones stay consistent with these
-// (both sides are malloc/free based).
+// (both sides are malloc/free based). The deletes are kept out of line: once
+// inlined next to a counted new, GCC's -Wmismatched-new-delete mistakes the
+// malloc-backed pointer for a mismatched free.
 void* operator new(std::size_t size) {
   if (g_counting) {
     ++g_alloc_count;
@@ -56,10 +58,10 @@ void* operator new(std::size_t size) {
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace radical {
 namespace {

@@ -354,6 +354,7 @@ TEST(StringUtilTest, StartsWith) {
 // --- IntrusiveList -----------------------------------------------------------
 
 struct LinkedItem {
+  explicit LinkedItem(int item_id) : id(item_id) {}
   int id = 0;
   IntrusiveLink link;
 };

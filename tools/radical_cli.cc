@@ -12,11 +12,17 @@
 //   radical_cli --app forum --deploy baseline --clients 20 --requests 500
 //   radical_cli --app social --replicated-locks 3 --per-function
 //
-// Every run is deterministic for its --seed.
+// Every run is deterministic for its --seed. Flag values are validated: an
+// unknown app, region, deployment or flag, a non-integer number, --clients or
+// --requests below 1, or --think-ms, --seed or --replicated-locks below 0
+// prints the usage and exits 2.
 
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "bench/bench_util.h"
@@ -34,12 +40,13 @@ struct CliOptions {
   int replicated_locks = 0;
 };
 
-void Usage() {
-  std::printf(
-      "usage: radical_cli [--app social|hotel|forum] [--deploy radical|baseline|ideal]\n"
-      "                   [--regions VA,CA,IE,DE,JP] [--clients N] [--requests N]\n"
-      "                   [--think-ms N] [--seed S] [--replicated-locks N]\n"
-      "                   [--no-speculation] [--two-rtt] [--per-function] [--per-region]\n");
+void Usage(std::FILE* out) {
+  std::fprintf(out,
+               "usage: radical_cli [--app social|hotel|forum] [--deploy radical|baseline|ideal]\n"
+               "                   [--regions VA,CA,IE,DE,JP] [--clients N] [--requests N]\n"
+               "                   [--think-ms N] [--seed S] [--replicated-locks N]\n"
+               "                   [--no-speculation] [--two-rtt] [--per-function] "
+               "[--per-region]\n");
 }
 
 bool ParseRegions(const std::string& spec, std::vector<Region>* out) {
@@ -68,7 +75,24 @@ bool ParseRegions(const std::string& spec, std::vector<Region>* out) {
   return !out->empty();
 }
 
+// Parses all of `text` as a base-10 integer in [min, max]. On failure,
+// names the flag and the accepted range on stderr.
+bool ParseInt(const char* flag, const char* text, int64_t min, int64_t max, int64_t* out) {
+  const char* end = text + std::strlen(text);
+  int64_t value = 0;
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || value < min || value > max) {
+    std::fprintf(stderr, "%s expects an integer in [%lld, %lld], got '%s'\n", flag,
+                 static_cast<long long>(min), static_cast<long long>(max), text);
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
 bool Parse(int argc, char** argv, CliOptions* options) {
+  constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+  constexpr int64_t kInt64Max = std::numeric_limits<int64_t>::max();
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&](const char* flag) -> const char* {
@@ -79,7 +103,7 @@ bool Parse(int argc, char** argv, CliOptions* options) {
       return argv[++i];
     };
     if (arg == "--help" || arg == "-h") {
-      Usage();
+      Usage(stdout);
       std::exit(0);
     } else if (arg == "--app") {
       const char* v = next("--app");
@@ -87,12 +111,21 @@ bool Parse(int argc, char** argv, CliOptions* options) {
         return false;
       }
       options->app = v;
+      if (options->app != "social" && options->app != "hotel" && options->app != "forum") {
+        std::fprintf(stderr, "unknown app: %s\n", v);
+        return false;
+      }
     } else if (arg == "--deploy") {
       const char* v = next("--deploy");
       if (v == nullptr) {
         return false;
       }
       options->deploy = v;
+      if (options->deploy != "radical" && options->deploy != "baseline" &&
+          options->deploy != "ideal") {
+        std::fprintf(stderr, "unknown deployment: %s\n", v);
+        return false;
+      }
     } else if (arg == "--regions") {
       const char* v = next("--regions");
       if (v == nullptr || !ParseRegions(v, &options->run.regions)) {
@@ -100,34 +133,40 @@ bool Parse(int argc, char** argv, CliOptions* options) {
       }
     } else if (arg == "--clients") {
       const char* v = next("--clients");
-      if (v == nullptr) {
+      int64_t n = 0;
+      if (v == nullptr || !ParseInt("--clients", v, 1, kIntMax, &n)) {
         return false;
       }
-      options->run.clients_per_region = std::atoi(v);
+      options->run.clients_per_region = static_cast<int>(n);
     } else if (arg == "--requests") {
       const char* v = next("--requests");
-      if (v == nullptr) {
+      int64_t n = 0;
+      if (v == nullptr || !ParseInt("--requests", v, 1, kInt64Max, &n)) {
         return false;
       }
-      options->run.requests_per_client = static_cast<uint64_t>(std::atoll(v));
+      options->run.requests_per_client = static_cast<uint64_t>(n);
     } else if (arg == "--think-ms") {
       const char* v = next("--think-ms");
-      if (v == nullptr) {
+      int64_t n = 0;
+      // Capped so the conversion to virtual microseconds cannot overflow.
+      if (v == nullptr || !ParseInt("--think-ms", v, 0, kInt64Max / Millis(1), &n)) {
         return false;
       }
-      options->run.think_time = Millis(std::atoll(v));
+      options->run.think_time = Millis(n);
     } else if (arg == "--seed") {
       const char* v = next("--seed");
-      if (v == nullptr) {
+      int64_t n = 0;
+      if (v == nullptr || !ParseInt("--seed", v, 0, kInt64Max, &n)) {
         return false;
       }
-      options->run.seed = static_cast<uint64_t>(std::atoll(v));
+      options->run.seed = static_cast<uint64_t>(n);
     } else if (arg == "--replicated-locks") {
       const char* v = next("--replicated-locks");
-      if (v == nullptr) {
+      int64_t n = 0;
+      if (v == nullptr || !ParseInt("--replicated-locks", v, 0, kIntMax, &n)) {
         return false;
       }
-      options->replicated_locks = std::atoi(v);
+      options->replicated_locks = static_cast<int>(n);
     } else if (arg == "--no-speculation") {
       options->run.config.speculation_enabled = false;
     } else if (arg == "--two-rtt") {
@@ -138,13 +177,13 @@ bool Parse(int argc, char** argv, CliOptions* options) {
       options->per_region = true;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      Usage();
       return false;
     }
   }
   return true;
 }
 
+// `name` is one of the apps Parse accepts.
 AppSpec PickApp(const std::string& name) {
   if (name == "hotel") {
     return MakeHotelApp();
@@ -161,9 +200,6 @@ int Run(const CliOptions& options) {
     kind = DeployKind::kBaseline;
   } else if (options.deploy == "ideal") {
     kind = DeployKind::kIdeal;
-  } else if (options.deploy != "radical") {
-    std::fprintf(stderr, "unknown deployment: %s\n", options.deploy.c_str());
-    return 1;
   }
   const AppSpec app = PickApp(options.app);
 
@@ -241,7 +277,8 @@ int Run(const CliOptions& options) {
 int main(int argc, char** argv) {
   radical::CliOptions options;
   if (!radical::Parse(argc, argv, &options)) {
-    return 1;
+    radical::Usage(stderr);
+    return 2;
   }
   return radical::Run(options);
 }
