@@ -105,13 +105,7 @@ ReplicatedLockService::ReplicatedLockService(Simulator* sim, int node_count,
 void ReplicatedLockService::BuildGroup(int g, int node_count, const RaftOptions& raft_options,
                                        const LocalMeshOptions& mesh_options) {
   LockGroup& group = groups_[static_cast<size_t>(g)];
-  group.machines.reserve(static_cast<size_t>(node_count));
-  for (int i = 0; i < node_count; ++i) {
-    auto machine = std::make_unique<LockStateMachine>();
-    machine->set_grant_listener(
-        [this](ExecutionId exec, const Key& key) { OnGrant(exec, key); });
-    group.machines.push_back(std::move(machine));
-  }
+  group.machines.resize(static_cast<size_t>(node_count));  // Filled by the factory.
   // A single group keeps the historical "raft" metric scope; multi-group
   // deployments get one scope per shard so each group is observable.
   const std::string scope =
@@ -119,13 +113,18 @@ void ReplicatedLockService::BuildGroup(int g, int node_count, const RaftOptions&
   group.cluster = std::make_unique<RaftCluster>(
       sim_, node_count, raft_options,
       [this, g](NodeId id) -> RaftNode::ApplyFn {
-        // On restart the machine is rebuilt from scratch and replayed.
-        auto machine = std::make_unique<LockStateMachine>();
-        machine->set_grant_listener(
-            [this](ExecutionId exec, const Key& key) { OnGrant(exec, key); });
-        auto& slot = groups_[static_cast<size_t>(g)].machines[static_cast<size_t>(id)];
-        slot = std::move(machine);
+        // On restart the machine is rebuilt from scratch and replayed; its
+        // replay re-fires grants that were reported long ago.
+        LockGroup& owner = groups_[static_cast<size_t>(g)];
+        if (owner.reported_by == id) {
+          owner.reported_by = -1;
+        }
+        auto& slot = owner.machines[static_cast<size_t>(id)];
+        slot = std::make_unique<LockStateMachine>();
         LockStateMachine* raw = slot.get();
+        raw->set_grant_listener([this, g, id, raw](ExecutionId exec, const Key& key) {
+          OnGrant(groups_[static_cast<size_t>(g)], id, raw->last_applied(), exec, key);
+        });
         return [raw](LogIndex index, const std::string& command) { raw->Apply(index, command); };
       },
       mesh_options, scope);
@@ -211,7 +210,7 @@ void ReplicatedLockService::AcquireAll(ExecutionId exec, std::vector<Key> keys,
   // Grants this exec already received (a retry after a crash re-acquires
   // locks it still holds in the replicated table) count immediately.
   for (const Key& key : acq.keys) {
-    if (seen_grants_.count({exec, key}) > 0) {
+    if (held_grants_.count({exec, key}) > 0) {
       acq.granted_keys.insert(key);
     }
   }
@@ -446,22 +445,32 @@ void ReplicatedLockService::OnAcquireSubmitFailed(ExecutionId exec) {
   });
 }
 
-void ReplicatedLockService::OnGrant(ExecutionId exec, const Key& key) {
-  // Every replica applies every command; act once per (exec, key).
-  if (!seen_grants_.emplace(exec, key).second) {
+void ReplicatedLockService::OnGrant(LockGroup& group, NodeId node, LogIndex index,
+                                    ExecutionId exec, const Key& key) {
+  // Every replica applies every committed command and, the machines being
+  // deterministic, fires the same grants for it. Only the first replica to
+  // apply a log index reports them; grants from other replicas applying it
+  // later, and from a restarted replica replaying its log, are echoes.
+  if (index < group.reported_index ||
+      (index == group.reported_index && node != group.reported_by)) {
     return;
   }
+  group.reported_index = index;
+  group.reported_by = node;
   const auto it = pending_.find(exec);
-  if (it == pending_.end()) {
-    if (released_execs_.count(exec) > 0) {
-      // The exec released before this (retried) acquire committed. Submit a
-      // fresh release: it necessarily lands after the acquire in the
-      // group's log, so the stray lock cannot leak.
-      const int shard = router_.ShardOf(key);
-      releasing_[exec].insert(shard);
-      SubmitRelease(exec, shard);
-    }
+  if (it == pending_.end() && released_execs_.count(exec) > 0) {
+    // The exec released before this (retried) acquire committed. Submit a
+    // fresh release: it necessarily lands after the acquire in the group's
+    // log, so the stray lock cannot leak.
+    ++compensating_releases_;
+    const int shard = router_.ShardOf(key);
+    releasing_[exec].insert(shard);
+    SubmitRelease(exec, shard);
     return;
+  }
+  held_grants_.emplace(exec, key);
+  if (it == pending_.end()) {
+    return;  // A duplicate acquire re-granting a key of a completed acquisition.
   }
   PendingAcquire& acq = it->second;
   const bool expected =
@@ -512,13 +521,10 @@ void ReplicatedLockService::ReleaseAll(ExecutionId exec) {
   // frontier of a still-pending acquire (submitted but ungranted commands
   // may be queued in the group's table).
   std::set<int> shards;
-  for (auto it = seen_grants_.begin(); it != seen_grants_.end();) {
-    if (it->first == exec) {
-      shards.insert(router_.ShardOf(it->second));
-      it = seen_grants_.erase(it);
-    } else {
-      ++it;
-    }
+  for (auto it = held_grants_.lower_bound({exec, Key()});
+       it != held_grants_.end() && it->first == exec;) {
+    shards.insert(router_.ShardOf(it->second));
+    it = held_grants_.erase(it);
   }
   const auto pit = pending_.find(exec);
   if (pit != pending_.end()) {

@@ -143,11 +143,22 @@ class ReplicatedLockService : public LockService {
   uint64_t lease_reads() const { return lease_reads_; }
   // All-read acquisitions that had to fall back to the commit path.
   uint64_t lease_read_fallbacks() const { return lease_read_fallbacks_; }
+  // Releases submitted because an acquire committed after its exec had
+  // already released (a retried acquire landing late in the log).
+  uint64_t compensating_releases() const { return compensating_releases_; }
+  // (exec, key) grants reported and not yet released; 0 once every exec
+  // has released.
+  size_t held_grants() const { return held_grants_.size(); }
 
  private:
   struct LockGroup {
     std::vector<std::unique_ptr<LockStateMachine>> machines;  // One per node.
     std::unique_ptr<RaftCluster> cluster;
+    // Grant-report high-water: the newest log index whose grants have been
+    // reported, and the replica that applied it first (-1 once that
+    // replica's machine is rebuilt).
+    LogIndex reported_index = 0;
+    NodeId reported_by = -1;
   };
 
   struct PendingAcquire {
@@ -171,7 +182,10 @@ class ReplicatedLockService : public LockService {
   static size_t RunEnd(const PendingAcquire& acq, size_t from);
   // An acquire proposal timed out; resubmit once the dust settles.
   void OnAcquireSubmitFailed(ExecutionId exec);
-  void OnGrant(ExecutionId exec, const Key& key);
+  // A replica of `group` applying log `index` granted `exec` the lock on
+  // `key`; acts only on the first replica to apply `index`.
+  void OnGrant(LockGroup& group, NodeId node, LogIndex index, ExecutionId exec,
+               const Key& key);
   // Submits (and retries until committed) `exec`'s release in `shard`.
   void SubmitRelease(ExecutionId exec, int shard);
   // Lease-read fast path: grants an all-read acquisition locally when every
@@ -189,8 +203,9 @@ class ReplicatedLockService : public LockService {
   ShardRouter router_;
   std::vector<LockGroup> groups_;
   std::unordered_map<ExecutionId, PendingAcquire> pending_;
-  // Dedupe grant notifications (each replica applies every command).
-  std::set<std::pair<ExecutionId, Key>> seen_grants_;
+  // Reported grants not yet released, ordered by exec so ReleaseAll finds
+  // an exec's entries with one lower_bound.
+  std::set<std::pair<ExecutionId, Key>> held_grants_;
   // Execs that have released: a grant that commits after the release (a
   // retried acquire landing late in the log) triggers a compensating
   // release instead of leaking the lock.
@@ -206,6 +221,7 @@ class ReplicatedLockService : public LockService {
   uint64_t release_retries_ = 0;
   uint64_t lease_reads_ = 0;
   uint64_t lease_read_fallbacks_ = 0;
+  uint64_t compensating_releases_ = 0;
 };
 
 }  // namespace radical

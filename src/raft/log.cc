@@ -56,8 +56,10 @@ bool RaftLog::TryAppend(LogIndex prev_index, Term prev_term,
 
 std::vector<LogEntry> RaftLog::EntriesAfter(LogIndex from, size_t max_batch) const {
   assert(from >= snapshot_index_);
+  const LogIndex to = std::min<LogIndex>(last_index(), from + max_batch);
   std::vector<LogEntry> out;
-  for (LogIndex i = from + 1; i <= last_index() && out.size() < max_batch; ++i) {
+  out.reserve(to > from ? to - from : 0);
+  for (LogIndex i = from + 1; i <= to; ++i) {
     out.push_back(At(i));
   }
   return out;

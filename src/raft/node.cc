@@ -78,6 +78,8 @@ void RaftNode::Crash() {
   proposal_busy_until_ = 0;
   next_index_.clear();
   match_index_.clear();
+  sent_index_.clear();
+  probing_.clear();
   FailPendingProposals();
 }
 
@@ -207,8 +209,13 @@ void RaftNode::BecomeLeader() {
   pre_candidate_ = false;
   transfer_target_ = -1;
   RLOG(kInfo) << "raft node " << id_ << " becomes leader, term " << current_term_;
-  next_index_.assign(static_cast<size_t>(mesh_->node_count()), log_.last_index() + 1);
-  match_index_.assign(static_cast<size_t>(mesh_->node_count()), 0);
+  // Every follower starts out probing at our log end: the first heartbeat
+  // finds where its log actually stands before anything is pipelined.
+  const auto nodes = static_cast<size_t>(mesh_->node_count());
+  next_index_.assign(nodes, log_.last_index() + 1);
+  match_index_.assign(nodes, 0);
+  sent_index_.assign(nodes, log_.last_index());
+  probing_.assign(nodes, 1);
   ack_anchor_.assign(static_cast<size_t>(mesh_->node_count()), kNeverHeard);
   if (options_.leader_lease) {
     // Commit a current-term entry right away: lease reads are only safe once
@@ -232,9 +239,11 @@ void RaftNode::SendHeartbeats() {
   // A leader is its own freshest leader contact: if deposed and asked for a
   // pre-vote moments later, it should refuse like any sticky follower.
   last_leader_contact_ = mesh_->simulator()->Now();
+  // Each beat re-ships the unacknowledged window from next_index: it probes a
+  // probing peer again and repairs an append the mesh lost.
   for (NodeId peer = 0; peer < mesh_->node_count(); ++peer) {
     if (peer != id_) {
-      ReplicateTo(peer);
+      SendAppend(peer, next_index_[static_cast<size_t>(peer)] - 1);
     }
   }
   heartbeat_timer_ = mesh_->simulator()->Schedule(options_.heartbeat_interval, [this] {
@@ -243,34 +252,41 @@ void RaftNode::SendHeartbeats() {
   });
 }
 
-void RaftNode::ReplicateTo(NodeId peer) {
+void RaftNode::SendAppend(NodeId peer, LogIndex prev) {
   if (!alive_ || role_ != RaftRole::kLeader) {
     return;
   }
-  if (next_index_[static_cast<size_t>(peer)] <= log_.snapshot_index()) {
+  const auto p = static_cast<size_t>(peer);
+  if (prev < log_.snapshot_index()) {
     // The entries this follower needs were compacted away: ship the whole
-    // state-machine snapshot instead.
+    // state-machine snapshot instead, and pipeline nothing behind it until
+    // the follower confirms the install.
     SendSnapshotTo(peer);
+    probing_[p] = 1;
+    next_index_[p] = log_.snapshot_index() + 1;
+    sent_index_[p] = log_.snapshot_index();
     return;
   }
-  const LogIndex prev = next_index_[static_cast<size_t>(peer)] - 1;
   AppendEntriesArgs args{.term = current_term_,
                          .leader = id_,
                          .prev_index = prev,
                          .prev_term = log_.TermAt(prev),
                          .entries = log_.EntriesAfter(prev, options_.max_entries_per_append),
                          .leader_commit = commit_index_};
+  sent_index_[p] = std::max(sent_index_[p], prev + args.entries.size());
   const SimTime sent_at = mesh_->simulator()->Now();
-  mesh_->endpoint(id_).Send(mesh_->endpoint(peer), net::MessageKind::kRaftAppend,
-                            AppendWireSize(args), [this, peer, args, sent_at] {
+  const size_t wire_size = AppendWireSize(args);
+  // The follower fsyncs new entries to its WAL before acknowledging.
+  const SimDuration handle_delay =
+      options_.process_delay + (args.entries.empty() ? 0 : options_.fsync_delay);
+  mesh_->endpoint(id_).Send(mesh_->endpoint(peer), net::MessageKind::kRaftAppend, wire_size,
+                            [this, peer, args = std::move(args), sent_at,
+                             handle_delay]() mutable {
     RaftNode* node = peers_(peer);
     if (node == nullptr || !node->alive_) {
       return;
     }
-    // The follower fsyncs new entries to its WAL before acknowledging.
-    const SimDuration handle_delay =
-        options_.process_delay + (args.entries.empty() ? 0 : options_.fsync_delay);
-    mesh_->simulator()->Schedule(handle_delay, [this, peer, args, sent_at] {
+    mesh_->simulator()->Schedule(handle_delay, [this, peer, args = std::move(args), sent_at] {
       RaftNode* target = peers_(peer);
       if (target == nullptr || !target->alive_) {
         return;
@@ -286,6 +302,13 @@ void RaftNode::ReplicateTo(NodeId peer) {
   });
 }
 
+void RaftNode::ShipUnsent(NodeId peer) {
+  const auto p = static_cast<size_t>(peer);
+  if (!probing_[p] && sent_index_[p] < log_.last_index()) {
+    SendAppend(peer, sent_index_[p]);
+  }
+}
+
 void RaftNode::SendSnapshotTo(NodeId peer) {
   InstallSnapshotArgs args{.term = current_term_,
                            .leader = id_,
@@ -293,15 +316,16 @@ void RaftNode::SendSnapshotTo(NodeId peer) {
                            .last_included_term = log_.snapshot_term(),
                            .data = snapshot_data_};
   const SimTime sent_at = mesh_->simulator()->Now();
-  mesh_->endpoint(id_).Send(mesh_->endpoint(peer), net::MessageKind::kRaftSnapshot,
-                            SnapshotWireSize(args), [this, peer, args, sent_at] {
+  const size_t wire_size = SnapshotWireSize(args);
+  mesh_->endpoint(id_).Send(mesh_->endpoint(peer), net::MessageKind::kRaftSnapshot, wire_size,
+                            [this, peer, args = std::move(args), sent_at]() mutable {
     RaftNode* node = peers_(peer);
     if (node == nullptr || !node->alive_) {
       return;
     }
     // Installing a snapshot is a disk write on the follower.
     mesh_->simulator()->Schedule(options_.process_delay + options_.fsync_delay,
-                                 [this, peer, args, sent_at] {
+                                 [this, peer, args = std::move(args), sent_at] {
       RaftNode* target = peers_(peer);
       if (target == nullptr || !target->alive_) {
         return;
@@ -445,6 +469,7 @@ AppendEntriesReply RaftNode::HandleAppendEntries(const AppendEntriesArgs& args) 
   last_leader_contact_ = mesh_->simulator()->Now();
   reply.term = current_term_;
   if (!log_.TryAppend(args.prev_index, args.prev_term, args.entries)) {
+    reply.rejected_index = args.prev_index;
     // Fill the fast-backoff hint: where our log actually diverges, so the
     // leader can jump next_index over a whole conflicting term at once.
     if (args.prev_index > log_.last_index()) {
@@ -466,8 +491,12 @@ AppendEntriesReply RaftNode::HandleAppendEntries(const AppendEntriesArgs& args) 
   }
   reply.success = true;
   reply.match_index = args.prev_index + args.entries.size();
-  if (args.leader_commit > commit_index_) {
-    commit_index_ = std::min(args.leader_commit, log_.last_index());
+  // Commit no further than this append verified (Raft Fig. 2: the index of
+  // the last new entry). Entries past it may be a stale suffix of an older
+  // term that a later append will still truncate.
+  const LogIndex verified = std::min(args.leader_commit, reply.match_index);
+  if (verified > commit_index_) {
+    commit_index_ = verified;
     ApplyCommitted();
   }
   return reply;
@@ -490,6 +519,8 @@ void RaftNode::HandleAppendReply(const AppendEntriesReply& reply, SimTime sent_a
   if (reply.success) {
     match_index_[peer] = std::max(match_index_[peer], reply.match_index);
     next_index_[peer] = match_index_[peer] + 1;
+    sent_index_[peer] = std::max(sent_index_[peer], match_index_[peer]);
+    probing_[peer] = 0;
     AdvanceCommit();
     // Leadership transfer: the successor just caught up — tell it to go.
     if (TransferInProgress() && transfer_target_ == reply.from &&
@@ -497,33 +528,40 @@ void RaftNode::HandleAppendReply(const AppendEntriesReply& reply, SimTime sent_a
       SendTimeoutNow(reply.from);
       return;
     }
-    // More to ship? Keep the pipe full without waiting for the next beat.
-    if (next_index_[peer] <= log_.last_index()) {
-      ReplicateTo(reply.from);
-    }
-  } else {
-    // Consistency check failed: back up and retry. With a conflict hint,
-    // jump straight past the follower's divergent term — if we hold entries
-    // of conflict_term, resume after our last one; otherwise start at the
-    // follower's first index of that term. Without a hint, the classic
-    // one-entry decrement.
-    const LogIndex old_next = next_index_[peer];
-    if (reply.conflict_index > 0) {
-      LogIndex next = reply.conflict_index;
-      if (reply.conflict_term != 0) {
-        const LogIndex ours = log_.LastIndexOfTerm(reply.conflict_term, old_next - 1);
-        if (ours > 0) {
-          next = ours + 1;
-        }
-      }
-      // Guarantee progress: never move forward past the classic backoff.
-      const LogIndex cap = old_next > 1 ? old_next - 1 : 1;
-      next_index_[peer] = std::max<LogIndex>(1, std::min(next, cap));
-    } else if (next_index_[peer] > 1) {
-      --next_index_[peer];
-    }
-    ReplicateTo(reply.from);
+    // Entries left unsent (the max_entries_per_append cap, or a probe that
+    // just succeeded)? Keep the pipe full without waiting for the next beat.
+    ShipUnsent(reply.from);
+    return;
   }
+  // Consistency check failed. Appends pipelined before an earlier rewind
+  // still answer; those rejections are stale. A pipelining peer's rejection
+  // is stale once a success has covered it, a probing peer's unless it
+  // answers the probe at next_index - 1.
+  const LogIndex rejected = reply.rejected_index;
+  if (rejected <= match_index_[peer] ||
+      (probing_[peer] && rejected != next_index_[peer] - 1)) {
+    return;
+  }
+  // Stop pipelining and probe backwards. With a conflict hint, jump straight
+  // past the follower's divergent term — if we hold entries of
+  // conflict_term, resume after our last one; otherwise start at the
+  // follower's first index of that term. Without a hint, the classic
+  // one-entry backoff. Never probe below what the follower acknowledged,
+  // and never past the rejected index (progress).
+  LogIndex next = rejected;
+  if (reply.conflict_index > 0) {
+    next = reply.conflict_index;
+    if (reply.conflict_term != 0) {
+      const LogIndex ours = log_.LastIndexOfTerm(reply.conflict_term, rejected);
+      if (ours > 0) {
+        next = ours + 1;
+      }
+    }
+  }
+  probing_[peer] = 1;
+  next_index_[peer] = std::clamp(next, match_index_[peer] + 1, rejected);
+  sent_index_[peer] = next_index_[peer] - 1;
+  SendAppend(reply.from, sent_index_[peer]);
 }
 
 void RaftNode::AdvanceCommit() {
@@ -593,10 +631,11 @@ void RaftNode::ProposeNow(std::string command, ProposeCallback done) {
   if (done) {
     pending_proposals_[index] = std::move(done);
   }
-  // Replicate eagerly rather than waiting for the heartbeat.
+  // Replicate eagerly rather than waiting for the heartbeat; entries already
+  // in flight are not shipped again.
   for (NodeId peer = 0; peer < mesh_->node_count(); ++peer) {
     if (peer != id_) {
-      ReplicateTo(peer);
+      ShipUnsent(peer);
     }
   }
   // Single-node cluster: commit immediately.
@@ -626,7 +665,7 @@ bool RaftNode::TransferLeadership(NodeId target) {
   } else {
     // Catch the successor up first; HandleAppendReply fires TimeoutNow once
     // its match index reaches our last entry.
-    ReplicateTo(target);
+    SendAppend(target, next_index_[static_cast<size_t>(target)] - 1);
   }
   return true;
 }

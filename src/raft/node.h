@@ -109,6 +109,11 @@ struct AppendEntriesReply {
   // instead of decrementing next_index one entry at a time. 0 = no hint.
   Term conflict_term = 0;
   LogIndex conflict_index = 0;
+  // On a failed consistency check: the prev_index the follower rejected.
+  // With appends pipelined, replies to appends sent before the leader
+  // rewound arrive late; the leader tells those stale rejections apart by
+  // this index (etcd's MsgAppResp.Index).
+  LogIndex rejected_index = 0;
 };
 
 struct InstallSnapshotArgs {
@@ -209,7 +214,11 @@ class RaftNode {
   void ResetElectionTimer();
   void CancelTimers();
   void SendHeartbeats();
-  void ReplicateTo(NodeId peer);
+  // Ships the entries after `prev` (up to max_entries_per_append) to `peer`,
+  // or the snapshot when `prev` has been compacted away.
+  void SendAppend(NodeId peer, LogIndex prev);
+  // Ships `peer` whatever the pipeline has not sent yet, unless it is probing.
+  void ShipUnsent(NodeId peer);
   void SendSnapshotTo(NodeId peer);
   void SendTimeoutNow(NodeId peer);
   void MaybeCompact();
@@ -261,8 +270,15 @@ class RaftNode {
   std::vector<SimTime> ack_anchor_;
   // Proposal-capacity model: the leader is busy appending until this time.
   SimTime proposal_busy_until_ = 0;
+  // Per-peer replication progress (etcd's Progress). next_index is where a
+  // probe or heartbeat resumes (match_index + 1 once the peer has answered);
+  // sent_index is the last entry already shipped, so a proposal only ships
+  // what is new. A probing peer has rejected an append: nothing more is
+  // pipelined to it until an append succeeds.
   std::vector<LogIndex> next_index_;
   std::vector<LogIndex> match_index_;
+  std::vector<LogIndex> sent_index_;
+  std::vector<char> probing_;
   std::map<LogIndex, ProposeCallback> pending_proposals_;
   EventId election_timer_ = kInvalidEventId;
   EventId heartbeat_timer_ = kInvalidEventId;

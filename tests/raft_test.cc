@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 
 #include "src/common/stats.h"
 #include "src/raft/cluster.h"
@@ -362,6 +363,135 @@ TEST(RaftTest, FastBackoffCatchesUpLongDivergenceQuickly) {
   // 600 ms covers the election plus a handful of append rounds — enough with
   // the conflict hint, hopeless with one-entry-per-round-trip decrements.
   EXPECT_EQ(applied.by_node[laggard].size(), static_cast<size_t>(entries));
+}
+
+// --- Pipelined replication --------------------------------------------------------
+
+// Proposes `count` unique commands on `leader`, one every `gap`, starting
+// now; returns how many of them committed (filled in as the run proceeds).
+std::shared_ptr<int> ProposeStream(Simulator& sim, RaftNode* leader, int count,
+                                   SimDuration gap) {
+  auto committed = std::make_shared<int>(0);
+  for (int i = 0; i < count; ++i) {
+    sim.Schedule(gap * i, [leader, i, committed] {
+      leader->Propose("op" + std::to_string(i), [committed](LogIndex index) {
+        *committed += index != 0 ? 1 : 0;
+      });
+    });
+  }
+  return committed;
+}
+
+// Regression for the perfbench hotel-replicated finding (1000 mesh messages
+// per request at 100 req/s, growing with the offered rate): every proposal
+// used to re-send the whole unacknowledged suffix to each follower, and
+// every success reply that left a follower behind sent it again, so the
+// appends in flight per follower ratcheted up with load. With per-peer
+// sent_index a proposal ships only its own entry: appends per commit stay
+// within 2 per follower (its ship plus one heartbeat re-ship of the window)
+// plus the fixed heartbeat share, at every rate.
+TEST(RaftPipelineTest, AppendsPerCommitStayFlatAcrossOfferedRate) {
+  constexpr int kNodes = 3;
+  const RaftOptions options;
+  for (const int rate : {200, 1000, 4000}) {
+    Simulator sim(83);
+    Applied applied;
+    RaftCluster cluster(&sim, kNodes, options, applied.Factory());
+    const NodeId leader = cluster.StartAndElect();
+    ASSERT_GE(leader, 0);
+    sim.RunFor(Millis(100));  // Settle heartbeats.
+    const net::Fabric& fabric = cluster.mesh().fabric();
+    const uint64_t appends_before = fabric.messages_of(net::MessageKind::kRaftAppend);
+    const SimDuration run = Seconds(1) + Millis(100);  // Stream plus drain.
+    const auto committed = ProposeStream(sim, cluster.node(leader), rate, Seconds(1) / rate);
+    sim.RunFor(run);
+    ASSERT_EQ(*committed, rate) << "rate " << rate;
+    ASSERT_EQ(cluster.LeaderId(), leader);
+    const auto appends =
+        static_cast<double>(fabric.messages_of(net::MessageKind::kRaftAppend) - appends_before);
+    const double beats =
+        static_cast<double>(run) / static_cast<double>(options.heartbeat_interval) + 1;
+    const double heartbeats = (kNodes - 1) * beats;
+    const double bound = 2.0 * (kNodes - 1) * rate + heartbeats;
+    EXPECT_LE(appends, bound) << "rate " << rate << ": " << appends / rate
+                              << " appends per commit";
+  }
+}
+
+// Every node's applied command sequence equals `expected`.
+void ExpectIdenticalLogs(Applied& applied, int nodes, const std::vector<std::string>& expected) {
+  for (NodeId id = 0; id < nodes; ++id) {
+    EXPECT_EQ(applied.by_node[id], expected) << "node " << id;
+  }
+}
+
+std::vector<std::string> StreamCommands(int count) {
+  std::vector<std::string> commands;
+  for (int i = 0; i < count; ++i) {
+    commands.push_back("op" + std::to_string(i));
+  }
+  return commands;
+}
+
+// A pipelined append the mesh loses is repaired by the next heartbeat, which
+// re-ships the unacknowledged window from next_index: the loss rule ends
+// with the stream, so the last losses have no later proposal (and its
+// rejection) to expose them.
+TEST(RaftPipelineTest, LostAppendsAreRepairedByHeartbeats) {
+  Simulator sim(89);
+  Applied applied;
+  RaftCluster cluster(&sim, 3, RaftOptions{}, applied.Factory());
+  const NodeId leader = cluster.StartAndElect();
+  ASSERT_GE(leader, 0);
+  sim.RunFor(Millis(100));
+  net::Fabric& fabric = cluster.mesh().fabric();
+  net::DropRule lossy;
+  lossy.kind = net::MessageKind::kRaftAppend;
+  lossy.probability = 0.1;
+  const int rule = fabric.AddDropRule(lossy);
+  constexpr int kCount = 300;
+  const auto committed = ProposeStream(sim, cluster.node(leader), kCount, Millis(1));
+  sim.RunFor(Millis(1) * kCount);
+  fabric.RemoveDropRule(rule);
+  EXPECT_GT(fabric.drops_of(net::MessageKind::kRaftAppend), 10u);
+  sim.RunFor(Millis(200));  // Ten heartbeats, no new proposals.
+  EXPECT_EQ(cluster.LeaderId(), leader);
+  EXPECT_EQ(*committed, kCount);
+  for (NodeId id = 0; id < 3; ++id) {
+    EXPECT_EQ(cluster.node(id)->commit_index(), static_cast<LogIndex>(kCount)) << "node " << id;
+  }
+  ExpectIdenticalLogs(applied, 3, StreamCommands(kCount));
+}
+
+// A follower that crashes mid-stream misses appends the leader counts as
+// sent. After its restart the next pipelined append (prev far past its log)
+// is rejected; the conflict hint points the leader's probe at the
+// follower's log end, and the pipeline resumes from there.
+TEST(RaftPipelineTest, RestartedFollowerCatchesUpThroughConflictHintProbe) {
+  Simulator sim(97);
+  Applied applied;
+  RaftCluster cluster(&sim, 3, RaftOptions{}, applied.Factory());
+  const NodeId leader = cluster.StartAndElect();
+  ASSERT_GE(leader, 0);
+  sim.RunFor(Millis(100));
+  const NodeId victim = (leader + 1) % 3;
+  constexpr int kCount = 400;
+  const auto committed = ProposeStream(sim, cluster.node(leader), kCount, Millis(1));
+  sim.RunFor(Millis(100));
+  cluster.CrashNode(victim);
+  sim.RunFor(Millis(150));
+  const LogIndex missed_from = cluster.node(victim)->log().last_index() + 1;
+  EXPECT_LT(missed_from, cluster.node(leader)->log().last_index());
+  cluster.RestartNode(victim);
+  // Mid-stream: well before the stream ends the follower has the log the
+  // leader held at its restart (no heartbeat-by-heartbeat crawl).
+  const LogIndex leader_at_restart = cluster.node(leader)->log().last_index();
+  sim.RunFor(Millis(20));
+  EXPECT_GE(cluster.node(victim)->log().last_index(), leader_at_restart);
+  sim.RunFor(Millis(1) * kCount);
+  EXPECT_EQ(cluster.LeaderId(), leader);
+  EXPECT_EQ(*committed, kCount);
+  ExpectIdenticalLogs(applied, 3, StreamCommands(kCount));
 }
 
 // --- Snapshotting / log compaction -------------------------------------------------

@@ -217,6 +217,94 @@ TEST_F(ReplicatedLocksTest, TimedOutReleaseRetriesUntilCommitted) {
   EXPECT_TRUE(granted2);
 }
 
+// --- Grant reporting: one report per committed grant ------------------------
+
+// A fault-free serial workload commits exactly each exec's acquires and its
+// release: keys + 1 per exec. Every replica fires the same grants, but only
+// the first to apply an index reports them; followers applying later and
+// replicas replaying their logs after a restart are echoes. Before, a
+// follower's echo of a grant after the release re-registered it and
+// triggered a compensating release — one stray commit per request — and
+// left grant bookkeeping behind.
+TEST_F(ReplicatedLocksTest, FaultFreeSerialWorkloadCommitsKeysPlusOnePerExec) {
+  ASSERT_TRUE(bootstrapped_);
+  sim_.RunFor(Millis(100));  // Settle heartbeats.
+  const LogIndex commit_before = service_.cluster().leader()->commit_index();
+  uint64_t expected_commits = 0;
+  for (ExecutionId exec = 1; exec <= 20; ++exec) {
+    std::set<Key> key_set;
+    for (ExecutionId i = 0; i <= exec % 3; ++i) {
+      key_set.insert("k" + std::to_string((exec + i) % 7));
+    }
+    const std::vector<Key> keys(key_set.begin(), key_set.end());
+    const std::vector<LockMode> modes(keys.size(), LockMode::kWrite);
+    // Release as soon as the grant lands, as the LVI server does once its
+    // intent is durable: the followers have not applied the grant yet.
+    bool granted = false;
+    service_.AcquireAll(exec, keys, modes, [&, exec] {
+      granted = true;
+      service_.ReleaseAll(exec);
+    });
+    sim_.RunFor(Millis(50));
+    ASSERT_TRUE(granted) << "exec " << exec;
+    expected_commits += keys.size() + 1;
+  }
+  sim_.RunFor(Millis(200));  // Every follower applies (and echoes) it all.
+  EXPECT_EQ(service_.cluster().leader()->commit_index() - commit_before, expected_commits);
+  EXPECT_EQ(service_.compensating_releases(), 0u);
+  EXPECT_EQ(service_.held_grants(), 0u);
+  // Restart every replica in turn (the leader too): each replays its whole
+  // log, re-firing every grant, and none of that may count as a grant.
+  for (NodeId id = 0; id < 3; ++id) {
+    service_.cluster().CrashNode(id);
+    sim_.RunFor(Millis(50));
+    service_.cluster().RestartNode(id);
+    sim_.RunFor(Seconds(1));
+    EXPECT_EQ(service_.cluster().node(id)->last_applied(),
+              commit_before + expected_commits) << "node " << id;
+  }
+  EXPECT_EQ(service_.compensating_releases(), 0u);
+  EXPECT_EQ(service_.held_grants(), 0u);
+  const LockStateMachine* state = service_.LeaderState();
+  ASSERT_NE(state, nullptr);
+  EXPECT_EQ(state->TotalHeldKeys(), 0u);
+}
+
+// A genuinely late acquire still gets its compensating release: the acquire
+// is proposed on a leader that has just been cut off, the exec gives up and
+// releases through the majority's new leader, and the acquire is retried
+// there only once the old leader steps down — committing after the release.
+TEST_F(ReplicatedLocksTest, AcquireCommittingAfterReleaseIsCompensated) {
+  ASSERT_TRUE(bootstrapped_);
+  sim_.RunFor(Millis(100));
+  const NodeId old_leader = service_.cluster().LeaderId();
+  ASSERT_GE(old_leader, 0);
+  LocalMesh& mesh = service_.cluster().mesh();
+  mesh.Isolate(old_leader, true);
+  bool granted = false;
+  service_.AcquireAll(1, {"k"}, {LockMode::kWrite}, [&] { granted = true; });
+  sim_.RunFor(Millis(600));  // The majority elects a new leader.
+  const NodeId new_leader = service_.cluster().LeaderId();
+  ASSERT_GE(new_leader, 0);
+  ASSERT_NE(new_leader, old_leader);
+  EXPECT_FALSE(granted);
+  service_.ReleaseAll(1);
+  sim_.RunFor(Millis(100));  // The release commits on the new leader.
+  mesh.Isolate(old_leader, false);
+  sim_.RunFor(Seconds(1));  // Old leader steps down; its acquire is retried.
+  EXPECT_FALSE(granted);
+  EXPECT_GE(service_.compensating_releases(), 1u);
+  EXPECT_EQ(service_.held_grants(), 0u);
+  const LockStateMachine* state = service_.LeaderState();
+  ASSERT_NE(state, nullptr);
+  EXPECT_EQ(state->TotalHeldKeys(), 0u);
+  // The key is free for the next writer.
+  bool granted2 = false;
+  service_.AcquireAll(2, {"k"}, {LockMode::kWrite}, [&] { granted2 = true; });
+  sim_.RunFor(Millis(100));
+  EXPECT_TRUE(granted2);
+}
+
 // --- Multi-Raft sharded lock groups -----------------------------------------
 
 TEST(ShardedReplicatedLocksTest, AcquiresSpanIndependentGroups) {

@@ -23,12 +23,13 @@
 # CHECK_REPLICATED=1 tools/check.sh  reruns the whole test suite against the
 # multi-Raft replicated lock path (RADICAL_REPLICATED_SHARDS=1 and =4, picked
 # up by RadicalDeployment whenever a test constructs a replicated
-# deployment), then runs bench/sec5_6_replication in smoke mode — which
-# includes the lock-group throughput curve and the leader kill/rejoin
-# linearizability sweep (the bench exits nonzero on lost replies or a
-# non-linearizable history) — and schema-checks the exported
-# replicated-point fields with tools/bench_json_check, asserting both
-# multi-Raft curves made it into the report.
+# deployment), then runs bench/sec5_6_replication at full size (it takes
+# under a second now that Raft appends are pipelined) — which includes the
+# lock-group throughput curve and the leader kill/rejoin linearizability
+# sweep (the bench exits nonzero on lost replies or a non-linearizable
+# history) — and schema-checks the exported replicated-point fields with
+# tools/bench_json_check, asserting both multi-Raft curves made it into the
+# report.
 #
 # CHECK_SESSION=1 tools/check.sh  reruns the whole test suite with
 # RADICAL_FORCE_SESSIONS=1 (RadicalDeployment routes every Invoke through a
@@ -120,7 +121,7 @@ if [ "${CHECK_REPLICATED:-0}" = "1" ]; then
   REPL_DIR="$BUILD_DIR/replicated"
   mkdir -p "$REPL_DIR"
   echo "== replicated: multi-Raft throughput + leader kill/rejoin sweep =="
-  RADICAL_BENCH_SMOKE=1 RADICAL_BENCH_JSON="$REPL_DIR/BENCH_radical.json" \
+  RADICAL_BENCH_JSON="$REPL_DIR/BENCH_radical.json" \
     "$BUILD_DIR/bench/sec5_6_replication" > "$REPL_DIR/sec5_6_replication.out"
   cat "$REPL_DIR/sec5_6_replication.out"
   "$BUILD_DIR/tools/bench_json_check" "$REPL_DIR/BENCH_radical.json"
