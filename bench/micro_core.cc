@@ -1,8 +1,8 @@
 // Microbenchmarks (google-benchmark) for the core data structures: the lock
-// table, the versioned store, the interpreter, the analyzer, the event
-// queue, and the zipf generator. These measure real CPU time (not virtual
-// time) — the simulator's own overhead matters for how large an experiment
-// the harness can run.
+// table, the Raft lock state machine, the versioned store, the interpreter,
+// the analyzer, the event queue, and the zipf generator. These measure real
+// CPU time (not virtual time) — the simulator's own overhead matters for how
+// large an experiment the harness can run.
 //
 // Besides the google-benchmark suite, main() always runs two hand-timed
 // simulator-core loops — steady-state events per host second and fabric
@@ -27,6 +27,7 @@
 #include "src/lvi/codec.h"
 #include "src/lvi/lock_table.h"
 #include "src/net/network.h"
+#include "src/raft/lock_state_machine.h"
 #include "src/sim/region.h"
 #include "src/sim/simulator.h"
 
@@ -109,6 +110,26 @@ void BM_LockTableUncontended(benchmark::State& state) {
   sim.Run();
 }
 BENCHMARK(BM_LockTableUncontended);
+
+// The lock plane/Raft layer's per-commit host cost: encode and apply one
+// acquire -> release cycle, as every replica does for each lock of a
+// replicated LVI request. The key is fresh each cycle (release erases it).
+void BM_LockStateMachineApply(benchmark::State& state) {
+  LockStateMachine sm;
+  int grants = 0;
+  sm.set_grant_listener([&grants](ExecutionId, const Key&) { ++grants; });
+  const Key key = "avail:h17:d42";
+  ExecutionId exec = 1;
+  LogIndex index = 0;
+  for (auto _ : state) {
+    (void)_;
+    sm.Apply(++index, LockStateMachine::EncodeAcquire(exec, LockMode::kWrite, key));
+    sm.Apply(++index, LockStateMachine::EncodeRelease(exec));
+    ++exec;
+  }
+  benchmark::DoNotOptimize(grants);
+}
+BENCHMARK(BM_LockStateMachineApply);
 
 void BM_InterpreterTimeline(benchmark::State& state) {
   Interpreter interp(&HostRegistry::Standard());

@@ -1,120 +1,236 @@
 #include "src/raft/lock_state_machine.h"
 
-#include <sstream>
+#include <cstdint>
+#include <tuple>
+#include <utility>
 
 namespace radical {
+namespace {
+
+// Leading byte of every command and snapshot (docs/raft.md "Lock command
+// format").
+constexpr uint8_t kOpAcquire = 1;
+constexpr uint8_t kOpRelease = 2;
+constexpr uint8_t kSnapshotTag = 3;
+
+constexpr uint8_t kModeRead = 0;
+constexpr uint8_t kModeWrite = 1;
+
+uint8_t ModeByte(LockMode mode) { return mode == LockMode::kWrite ? kModeWrite : kModeRead; }
+
+size_t VarintSize(uint64_t v) {
+  size_t size = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    ++size;
+  }
+  return size;
+}
+
+// LEB128 unsigned varint.
+void AppendVarint(std::string* out, uint64_t v) {
+  while (v >= 0x80) {
+    out->push_back(static_cast<char>((v & 0x7f) | 0x80));
+    v >>= 7;
+  }
+  out->push_back(static_cast<char>(v));
+}
+
+void AppendKey(std::string* out, std::string_view key) {
+  AppendVarint(out, key.size());
+  out->append(key);
+}
+
+// Bounds-checked reader. The first failure sticks: every later read returns
+// zero or an empty view, and ok() stays false.
+class CommandReader {
+ public:
+  explicit CommandReader(std::string_view data) : data_(data) {}
+
+  bool ok() const { return ok_; }
+  // All bytes consumed and no failure.
+  bool AtEnd() const { return ok_ && pos_ == data_.size(); }
+  // The bytes not read yet.
+  std::string_view Rest() const { return ok_ ? data_.substr(pos_) : std::string_view(); }
+
+  uint8_t Byte() {
+    if (!ok_ || pos_ >= data_.size()) {
+      ok_ = false;
+      return 0;
+    }
+    return static_cast<uint8_t>(data_[pos_++]);
+  }
+
+  uint64_t Varint() {
+    uint64_t v = 0;
+    for (int shift = 0; shift < 64; shift += 7) {
+      const uint8_t b = Byte();
+      v |= static_cast<uint64_t>(b & 0x7f) << shift;
+      if ((b & 0x80) == 0) {
+        return ok_ ? v : 0;
+      }
+    }
+    ok_ = false;  // Longer than any 64-bit value.
+    return 0;
+  }
+
+  // A varint length followed by that many bytes.
+  std::string_view Key() {
+    const uint64_t size = Varint();
+    if (!ok_ || size > data_.size() - pos_) {
+      ok_ = false;
+      return {};
+    }
+    const std::string_view key = data_.substr(pos_, size);
+    pos_ += size;
+    return key;
+  }
+
+  // A mode byte; anything but read or write is a failure.
+  LockMode Mode() {
+    const uint8_t b = Byte();
+    if (b != kModeRead && b != kModeWrite) {
+      ok_ = false;
+    }
+    return b == kModeWrite ? LockMode::kWrite : LockMode::kRead;
+  }
+
+ private:
+  std::string_view data_;
+  size_t pos_ = 0;
+  bool ok_ = true;
+};
+
+}  // namespace
 
 std::string LockStateMachine::EncodeAcquire(ExecutionId exec, LockMode mode, const Key& key) {
-  std::ostringstream os;
-  os << "acquire " << exec << " " << (mode == LockMode::kWrite ? "w" : "r") << " " << key;
-  return os.str();
+  std::string out;
+  out.reserve(3 + VarintSize(exec) + VarintSize(key.size()) + key.size());
+  out.push_back(static_cast<char>(kOpAcquire));
+  AppendVarint(&out, exec);
+  AppendVarint(&out, 1);
+  out.push_back(static_cast<char>(ModeByte(mode)));
+  AppendKey(&out, key);
+  return out;
 }
 
 std::string LockStateMachine::EncodeBatchAcquire(ExecutionId exec,
                                                  const std::vector<Key>& keys,
                                                  const std::vector<LockMode>& modes) {
-  std::ostringstream os;
-  os << "batch " << exec << " " << keys.size();
+  std::string out;
+  out.push_back(static_cast<char>(kOpAcquire));
+  AppendVarint(&out, exec);
+  AppendVarint(&out, keys.size());
   for (size_t i = 0; i < keys.size(); ++i) {
-    os << " " << (modes[i] == LockMode::kWrite ? "w" : "r") << " " << keys[i];
+    out.push_back(static_cast<char>(ModeByte(modes[i])));
+    AppendKey(&out, keys[i]);
   }
-  return os.str();
+  return out;
 }
 
 std::string LockStateMachine::EncodeRelease(ExecutionId exec) {
-  std::ostringstream os;
-  os << "release " << exec;
-  return os.str();
+  std::string out;  // At most 11 bytes: no allocation.
+  out.push_back(static_cast<char>(kOpRelease));
+  AppendVarint(&out, exec);
+  return out;
 }
 
 std::string LockStateMachine::EncodeSnapshot() const {
-  std::ostringstream os;
-  os << "snapshot " << last_applied_ << " " << locks_.size();
+  std::string out;
+  out.push_back(static_cast<char>(kSnapshotTag));
+  AppendVarint(&out, last_applied_);
+  AppendVarint(&out, locks_.size());
   for (const auto& [key, lock] : locks_) {
-    os << " " << key << " " << lock.writer << " " << lock.readers.size();
+    AppendKey(&out, key);
+    AppendVarint(&out, lock.writer);
+    AppendVarint(&out, lock.readers.size());
     for (const ExecutionId reader : lock.readers) {
-      os << " " << reader;
+      AppendVarint(&out, reader);
     }
-    os << " " << lock.queue.size();
+    AppendVarint(&out, lock.queue.size());
     for (const Waiter& waiter : lock.queue) {
-      os << " " << (waiter.mode == LockMode::kWrite ? "w" : "r") << " " << waiter.exec;
+      out.push_back(static_cast<char>(ModeByte(waiter.mode)));
+      AppendVarint(&out, waiter.exec);
     }
   }
-  return os.str();
+  return out;
 }
 
 void LockStateMachine::RestoreSnapshot(const std::string& data) {
   locks_.clear();
   held_.clear();
-  std::istringstream is(data);
-  std::string magic;
-  is >> magic;
-  if (magic != "snapshot") {
+  CommandReader in(data);
+  if (in.Byte() != kSnapshotTag) {
     return;  // Unknown format: start empty (same as a fresh machine).
   }
-  size_t num_locks = 0;
-  is >> last_applied_ >> num_locks;
-  for (size_t i = 0; i < num_locks && is; ++i) {
-    std::string key;
-    ExecutionId writer = 0;
-    size_t num_readers = 0;
-    is >> key >> writer >> num_readers;
-    KeyLock& lock = locks_[key];
-    lock.writer = writer;
-    if (writer != 0) {
-      held_[writer].insert(key);
+  const LogIndex last_applied = in.Varint();
+  const uint64_t num_locks = in.Varint();
+  // Every lock consumes input, so a corrupt count ends at the first failure.
+  for (uint64_t i = 0; i < num_locks && in.ok(); ++i) {
+    const std::string_view key = in.Key();
+    KeyLock& lock = locks_[Key(key)];
+    lock.writer = in.Varint();
+    if (lock.writer != 0) {
+      held_[lock.writer].emplace(key);
     }
-    for (size_t r = 0; r < num_readers && is; ++r) {
-      ExecutionId reader = 0;
-      is >> reader;
+    const uint64_t num_readers = in.Varint();
+    for (uint64_t r = 0; r < num_readers && in.ok(); ++r) {
+      const ExecutionId reader = in.Varint();
       lock.readers.insert(reader);
-      held_[reader].insert(key);
+      held_[reader].emplace(key);
     }
-    size_t queue_size = 0;
-    is >> queue_size;
-    for (size_t q = 0; q < queue_size && is; ++q) {
-      std::string mode;
-      ExecutionId exec = 0;
-      is >> mode >> exec;
-      lock.queue.push_back(Waiter{exec, mode == "w" ? LockMode::kWrite : LockMode::kRead});
+    const uint64_t queue_size = in.Varint();
+    for (uint64_t q = 0; q < queue_size && in.ok(); ++q) {
+      const LockMode mode = in.Mode();
+      lock.queue.push_back(Waiter{in.Varint(), mode});
     }
   }
+  if (!in.AtEnd()) {
+    locks_.clear();  // Truncated or corrupt: start empty rather than half-restored.
+    held_.clear();
+    return;
+  }
+  last_applied_ = last_applied;
 }
 
 void LockStateMachine::Apply(LogIndex index, const std::string& command) {
   last_applied_ = index;
-  std::istringstream is(command);
-  std::string op;
-  is >> op;
-  if (op == "acquire") {
-    ExecutionId exec = 0;
-    std::string mode_str;
-    std::string key;
-    is >> exec >> mode_str >> key;
-    if (exec == 0 || key.empty()) {
-      return;
-    }
-    ApplyAcquire(exec, mode_str == "w" ? LockMode::kWrite : LockMode::kRead, key);
-  } else if (op == "batch") {
-    ExecutionId exec = 0;
-    size_t n = 0;
-    is >> exec >> n;
-    for (size_t i = 0; i < n && is; ++i) {
-      std::string mode_str;
-      std::string key;
-      is >> mode_str >> key;
-      if (exec != 0 && !key.empty()) {
-        ApplyAcquire(exec, mode_str == "w" ? LockMode::kWrite : LockMode::kRead, key);
-      }
-    }
-  } else if (op == "release") {
-    ExecutionId exec = 0;
-    is >> exec;
-    if (exec != 0) {
+  CommandReader in(command);
+  const uint8_t op = in.Byte();
+  const ExecutionId exec = in.Varint();
+  if (op == kOpRelease) {
+    if (in.AtEnd() && exec != 0) {
       ApplyRelease(exec);
     }
+    return;
   }
-  // Unknown commands ignored.
+  if (op != kOpAcquire) {
+    return;  // Unknown commands ignored.
+  }
+  const uint64_t num_keys = in.Varint();
+  const std::string_view keys = in.Rest();
+  // Validate the whole command first: a malformed batch changes nothing.
+  CommandReader check(keys);
+  for (uint64_t i = 0; i < num_keys && check.ok(); ++i) {
+    check.Mode();
+    check.Key();
+  }
+  if (!in.ok() || !check.AtEnd() || exec == 0) {
+    return;
+  }
+  // A grant listener may propose, and a one-node group commits and applies
+  // that proposal re-entrantly, growing or compacting the log that owns
+  // `command`. A single-key command reads nothing after its grant; a batch
+  // reads its keys from a copy.
+  const std::string batch_copy = num_keys > 1 ? std::string(keys) : std::string();
+  CommandReader key_reader(num_keys > 1 ? std::string_view(batch_copy) : keys);
+  for (uint64_t i = 0; i < num_keys; ++i) {
+    const LockMode mode = key_reader.Mode();
+    const std::string_view key = key_reader.Key();
+    if (!key.empty()) {
+      ApplyAcquire(exec, mode, key);
+    }
+  }
 }
 
 void LockStateMachine::Grant(ExecutionId exec, LockMode mode, const Key& key, KeyLock& lock) {
@@ -129,8 +245,14 @@ void LockStateMachine::Grant(ExecutionId exec, LockMode mode, const Key& key, Ke
   }
 }
 
-void LockStateMachine::ApplyAcquire(ExecutionId exec, LockMode mode, const Key& key) {
-  KeyLock& lock = locks_[key];
+void LockStateMachine::ApplyAcquire(ExecutionId exec, LockMode mode, std::string_view key_view) {
+  auto it = locks_.lower_bound(key_view);
+  if (it == locks_.end() || it->first != key_view) {
+    it = locks_.emplace_hint(it, std::piecewise_construct, std::forward_as_tuple(key_view),
+                             std::forward_as_tuple());
+  }
+  const Key& key = it->first;
+  KeyLock& lock = it->second;
   // Idempotence: already held by this execution.
   if (lock.writer == exec || lock.readers.count(exec) > 0) {
     if (grant_listener_) {
@@ -161,7 +283,7 @@ void LockStateMachine::ApplyRelease(ExecutionId exec) {
   if (it == held_.end()) {
     return;
   }
-  const std::set<Key> keys = it->second;
+  const std::set<Key> keys = std::move(it->second);
   held_.erase(it);
   for (const Key& key : keys) {
     auto lit = locks_.find(key);
@@ -187,7 +309,7 @@ void LockStateMachine::DrainQueue(const Key& key, KeyLock& lock) {
       if (!lock.Free()) {
         return;
       }
-      lock.queue.pop_front();
+      lock.queue.erase(lock.queue.begin());
       Grant(head.exec, head.mode, key, lock);
       return;  // A writer excludes everything behind it.
     }
@@ -195,7 +317,7 @@ void LockStateMachine::DrainQueue(const Key& key, KeyLock& lock) {
     if (lock.writer != 0) {
       return;
     }
-    lock.queue.pop_front();
+    lock.queue.erase(lock.queue.begin());
     Grant(head.exec, head.mode, key, lock);
     // Continue: consecutive readers are granted together.
   }

@@ -10,15 +10,20 @@
 // Commands are single-key ("our implementation of the replicated server
 // acquires all locks in series", §5.6); the multi-key in-memory table of the
 // singleton server lives in src/lvi/lock_table.h.
+//
+// Commands and snapshots use a compact, bounds-checked binary format (an op
+// byte, varint integers, length-prefixed keys; docs/raft.md "Lock command
+// format"). Keys are arbitrary bytes. A command that fails to decode is
+// ignored as a whole.
 
 #ifndef RADICAL_SRC_RAFT_LOCK_STATE_MACHINE_H_
 #define RADICAL_SRC_RAFT_LOCK_STATE_MACHINE_H_
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/analysis/rw_set.h"
@@ -35,8 +40,8 @@ class LockStateMachine {
 
   void set_grant_listener(GrantListener listener) { grant_listener_ = std::move(listener); }
 
-  // Applies a committed command. Unknown commands are ignored (forward
-  // compatibility); duplicate acquires are idempotent.
+  // Applies a committed command. Unknown or malformed commands are ignored
+  // (forward compatibility); duplicate acquires are idempotent.
   void Apply(LogIndex index, const std::string& command);
 
   // --- Command encoding -------------------------------------------------
@@ -51,8 +56,8 @@ class LockStateMachine {
   // --- Snapshotting (log compaction) --------------------------------------
   // Serializes the complete lock state (holders and wait queues). Restoring
   // replaces the machine's state; no grant notifications fire (grants are
-  // edge-triggered and listeners deduplicate). Keys must not contain
-  // whitespace — the same constraint the text command encoding has.
+  // edge-triggered and listeners deduplicate). Restoring data that does not
+  // decode as a snapshot leaves an empty machine.
   std::string EncodeSnapshot() const;
   void RestoreSnapshot(const std::string& data);
 
@@ -77,18 +82,20 @@ class LockStateMachine {
   struct KeyLock {
     ExecutionId writer = 0;          // 0 = none.
     std::set<ExecutionId> readers;
-    std::deque<Waiter> queue;
+    std::vector<Waiter> queue;  // FIFO: the head is queue.front().
 
     bool Free() const { return writer == 0 && readers.empty(); }
   };
 
-  void ApplyAcquire(ExecutionId exec, LockMode mode, const Key& key);
+  void ApplyAcquire(ExecutionId exec, LockMode mode, std::string_view key_view);
   void ApplyRelease(ExecutionId exec);
   // Grants queued waiters on `key` while compatible.
   void DrainQueue(const Key& key, KeyLock& lock);
   void Grant(ExecutionId exec, LockMode mode, const Key& key, KeyLock& lock);
 
-  std::map<Key, KeyLock> locks_;
+  // Transparent comparator: the apply path looks keys up by the view it
+  // decoded, without building a Key.
+  std::map<Key, KeyLock, std::less<>> locks_;
   std::map<ExecutionId, std::set<Key>> held_;
   GrantListener grant_listener_;
   LogIndex last_applied_ = 0;

@@ -5,6 +5,7 @@
 
 #include <map>
 #include <memory>
+#include <random>
 
 #include "src/common/stats.h"
 #include "src/raft/cluster.h"
@@ -619,6 +620,38 @@ TEST(LockStateMachineSnapshotTest, RoundTripPreservesLocksAndQueues) {
   EXPECT_TRUE(restored.IsWriteHeldBy("beta", 13));
 }
 
+TEST(LockStateMachineSnapshotTest, RoundTripKeepsWhitespaceKeysReadersWriterAndQueue) {
+  LockStateMachine sm;
+  sm.Apply(1, LockStateMachine::EncodeAcquire(20, LockMode::kWrite, "room 1"));
+  sm.Apply(2, LockStateMachine::EncodeAcquire(21, LockMode::kRead, "room 2"));
+  sm.Apply(3, LockStateMachine::EncodeAcquire(22, LockMode::kRead, "room 2"));
+  sm.Apply(4, LockStateMachine::EncodeAcquire(23, LockMode::kWrite, "room 1"));  // Queued.
+  sm.Apply(5, LockStateMachine::EncodeAcquire(24, LockMode::kRead, "room 1"));   // Queued.
+  const std::string snapshot = sm.EncodeSnapshot();
+
+  LockStateMachine restored;
+  restored.RestoreSnapshot(snapshot);
+  EXPECT_EQ(restored.EncodeSnapshot(), snapshot);
+  EXPECT_EQ(restored.last_applied(), 5u);
+  EXPECT_TRUE(restored.IsWriteHeldBy("room 1", 20));
+  EXPECT_FALSE(restored.IsWriteLocked("room"));
+  EXPECT_TRUE(restored.IsReadHeldBy("room 2", 21));
+  EXPECT_TRUE(restored.IsReadHeldBy("room 2", 22));
+  EXPECT_EQ(restored.WaitingCount("room 1"), 2u);
+  EXPECT_EQ(restored.TotalHeldKeys(), 2u);
+  // The queue keeps its order and modes: the writer goes first, and the
+  // reader behind it only when the writer releases.
+  std::vector<std::pair<ExecutionId, Key>> grants;
+  restored.set_grant_listener(
+      [&](ExecutionId exec, const Key& key) { grants.emplace_back(exec, key); });
+  restored.Apply(6, LockStateMachine::EncodeRelease(20));
+  ASSERT_EQ(grants.size(), 1u);
+  EXPECT_EQ(grants[0], (std::pair<ExecutionId, Key>{23, "room 1"}));
+  restored.Apply(7, LockStateMachine::EncodeRelease(23));
+  ASSERT_EQ(grants.size(), 2u);
+  EXPECT_EQ(grants[1], (std::pair<ExecutionId, Key>{24, "room 1"}));
+}
+
 TEST(LockStateMachineSnapshotTest, GarbageSnapshotYieldsEmptyMachine) {
   LockStateMachine sm;
   sm.RestoreSnapshot("not a snapshot at all");
@@ -764,6 +797,86 @@ TEST(LockStateMachineTest, DuplicateCommandsIdempotent) {
   sm.Apply(3, LockStateMachine::EncodeRelease(1));
   sm.Apply(4, LockStateMachine::EncodeRelease(1));  // Idempotent.
   EXPECT_EQ(sm.HeldKeyCount(1), 0u);
+}
+
+// Regression: the text command format read keys with `>>`, so an acquire of
+// "room 1" locked "room" and the service waited forever for its grant.
+TEST(LockStateMachineTest, WhitespaceKeyIsHeldExactly) {
+  LockStateMachine sm;
+  std::vector<Key> granted;
+  sm.set_grant_listener([&](ExecutionId, const Key& key) { granted.push_back(key); });
+  sm.Apply(1, LockStateMachine::EncodeAcquire(1, LockMode::kWrite, "room 1"));
+  EXPECT_TRUE(sm.IsWriteHeldBy("room 1", 1));
+  EXPECT_FALSE(sm.IsWriteLocked("room"));
+  EXPECT_EQ(granted, std::vector<Key>{"room 1"});
+  sm.Apply(2, LockStateMachine::EncodeBatchAcquire(2, {"a b", "c\td"},
+                                                   {LockMode::kRead, LockMode::kWrite}));
+  EXPECT_TRUE(sm.IsReadHeldBy("a b", 2));
+  EXPECT_TRUE(sm.IsWriteHeldBy("c\td", 2));
+  EXPECT_EQ(sm.HeldKeyCount(2), 2u);
+  sm.Apply(3, LockStateMachine::EncodeRelease(1));
+  sm.Apply(4, LockStateMachine::EncodeRelease(2));
+  EXPECT_EQ(sm.TotalHeldKeys(), 0u);
+}
+
+// Every strict prefix of a valid command, and random bytes, must decode as
+// nothing: only last_applied() moves.
+TEST(LockStateMachineTest, MalformedCommandsChangeNothing) {
+  LockStateMachine base;
+  base.Apply(1, LockStateMachine::EncodeAcquire(10, LockMode::kWrite, "room 1"));
+  base.Apply(2, LockStateMachine::EncodeAcquire(11, LockMode::kRead, "beta"));
+  base.Apply(3, LockStateMachine::EncodeAcquire(12, LockMode::kWrite, "beta"));  // Queued.
+  base.Apply(4, LockStateMachine::EncodeAcquire(100000, LockMode::kRead, "gamma"));
+  int grants = 0;
+  base.set_grant_listener([&](ExecutionId, const Key&) { ++grants; });
+  constexpr LogIndex kIndex = 200;  // Encodes as two varint bytes.
+  // The state a command that decodes as nothing must leave.
+  LockStateMachine ignored = base;
+  ignored.Apply(kIndex, "");
+  const std::string unchanged = ignored.EncodeSnapshot();
+
+  const std::vector<std::string> valid = {
+      LockStateMachine::EncodeAcquire(300, LockMode::kWrite, "fresh key"),
+      LockStateMachine::EncodeAcquire(300, LockMode::kRead, "beta"),
+      LockStateMachine::EncodeBatchAcquire(
+          301, {"alpha", "beta", "room 1"},
+          {LockMode::kWrite, LockMode::kRead, LockMode::kWrite}),
+      LockStateMachine::EncodeRelease(10),
+      LockStateMachine::EncodeRelease(100000),  // Multi-byte varint exec.
+  };
+  for (const std::string& command : valid) {
+    // Applied whole, each command changes the lock state, or the test would
+    // prove nothing.
+    LockStateMachine whole = base;
+    whole.Apply(kIndex, command);
+    EXPECT_NE(whole.EncodeSnapshot(), unchanged);
+    for (size_t len = 0; len < command.size(); ++len) {
+      LockStateMachine sm = base;
+      grants = 0;
+      sm.Apply(kIndex, command.substr(0, len));
+      EXPECT_EQ(sm.last_applied(), kIndex);
+      EXPECT_EQ(sm.EncodeSnapshot(), unchanged) << "prefix of length " << len;
+      EXPECT_EQ(grants, 0);
+    }
+  }
+  // Fixed-seed random byte strings; half start with a real op byte (1 or 2)
+  // so decoding gets past the first byte.
+  std::mt19937_64 rng(20261017);
+  for (int i = 0; i < 500; ++i) {
+    std::string bytes(1 + rng() % 40, '\0');
+    for (char& c : bytes) {
+      c = static_cast<char>(rng() & 0xff);
+    }
+    if (i % 2 == 0) {
+      bytes[0] = static_cast<char>(1 + rng() % 2);
+    }
+    LockStateMachine sm = base;
+    grants = 0;
+    sm.Apply(kIndex, bytes);
+    EXPECT_EQ(sm.last_applied(), kIndex);
+    EXPECT_EQ(sm.EncodeSnapshot(), unchanged) << "random string " << i;
+    EXPECT_EQ(grants, 0);
+  }
 }
 
 TEST(LockStateMachineTest, UnknownCommandsIgnored) {

@@ -50,6 +50,22 @@ TEST_F(ReplicatedLocksTest, AcquireGrantsThroughRaftCommit) {
   EXPECT_TRUE(state->IsWriteHeldBy("b", 1));
 }
 
+// Regression: under the text command format, "room 1" was locked as "room"
+// and this acquisition waited forever for its grant.
+TEST_F(ReplicatedLocksTest, WhitespaceKeyGrantsAndReleases) {
+  bool granted = false;
+  service_.AcquireAll(1, {"room 1"}, {LockMode::kWrite}, [&] { granted = true; });
+  sim_.RunFor(Millis(100));
+  EXPECT_TRUE(granted);
+  const LockStateMachine* state = service_.LeaderState();
+  ASSERT_NE(state, nullptr);
+  EXPECT_TRUE(state->IsWriteHeldBy("room 1", 1));
+  EXPECT_FALSE(state->IsWriteLocked("room"));
+  service_.ReleaseAll(1);
+  sim_.RunFor(Millis(100));
+  EXPECT_EQ(state->TotalHeldKeys(), 0u);
+}
+
 TEST_F(ReplicatedLocksTest, EmptyAcquireGrantsImmediately) {
   bool granted = false;
   service_.AcquireAll(1, {}, {}, [&] { granted = true; });
