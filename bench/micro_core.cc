@@ -1,5 +1,6 @@
 // Microbenchmarks (google-benchmark) for the core data structures: the lock
-// table, the Raft lock state machine, the versioned store, the interpreter,
+// table, the Raft lock state machine, the versioned store and the near-user
+// cache, the interpreter,
 // the analyzer, the event queue, and the zipf generator. These measure real
 // CPU time (not virtual time) — the simulator's own overhead matters for how
 // large an experiment the harness can run.
@@ -22,6 +23,7 @@
 #include "src/analysis/analyzer.h"
 #include "src/apps/apps.h"
 #include "src/func/builder.h"
+#include "src/kv/cache_store.h"
 #include "src/kv/versioned_store.h"
 #include "src/check/linearizability.h"
 #include "src/lvi/codec.h"
@@ -92,6 +94,30 @@ void BM_VersionedStoreBatchVersions(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_VersionedStoreBatchVersions)->Arg(4)->Arg(16)->Arg(64);
+
+// The near-user cache read that every request makes for each key it reads,
+// at a realistic table size: social-closed warms ~114k items into each
+// region's cache, where a 1k-item table hides the lookup's depth. Keys look
+// like the social app's (timeline:user<n>, post:<n>); lookups stride through
+// them so that successive ones do not share a path.
+void BM_CacheStoreGet(benchmark::State& state) {
+  const auto items = static_cast<size_t>(state.range(0));
+  CacheStore cache;
+  std::vector<Key> keys;
+  keys.reserve(items);
+  for (size_t i = 0; i < items; ++i) {
+    const std::string n = std::to_string(i / 2);
+    keys.push_back(i % 2 == 0 ? "timeline:user" + n : "post:" + n);
+    cache.Install(keys.back(), Value(static_cast<int64_t>(i)), 1);
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    (void)_;
+    i = (i + 7919) % items;  // A prime stride: visits every key.
+    benchmark::DoNotOptimize(cache.Get(keys[i], nullptr));
+  }
+}
+BENCHMARK(BM_CacheStoreGet)->Arg(1000)->Arg(100000);
 
 void BM_LockTableUncontended(benchmark::State& state) {
   Simulator sim;

@@ -380,8 +380,8 @@ bool ExecStmt(const StmtPtr& stmt, Frame& f) {
         f.vars[stmt->var] = Value();
         return true;
       }
-      const std::optional<Item> item = f.storage->Get(key, &f.result->elapsed);
-      f.vars[stmt->var] = item.has_value() ? item->value : Value();
+      std::optional<Item> item = f.storage->Get(key, &f.result->elapsed);
+      f.vars[stmt->var] = item.has_value() ? std::move(item->value) : Value();
       return true;
     }
     case StmtKind::kWrite: {

@@ -13,7 +13,6 @@
 #define RADICAL_SRC_KV_CACHE_STORE_H_
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 
@@ -82,7 +81,7 @@ class CacheStore : public Storage {
 
  private:
   CacheStoreOptions options_;
-  std::map<Key, Item> items_;
+  ItemTable items_;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
 };

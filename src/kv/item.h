@@ -8,6 +8,7 @@
 #define RADICAL_SRC_KV_ITEM_H_
 
 #include <string>
+#include <unordered_map>
 
 #include "src/common/types.h"
 #include "src/common/value.h"
@@ -24,6 +25,12 @@ struct Item {
     return version == other.version && value == other.value;
   }
 };
+
+// The item table every store keeps: hash-indexed, because each request looks
+// up each key of its rw-set several times (cache read, version collection,
+// validation). Its iteration order is unspecified; a visit that must be
+// deterministic sorts (VersionedStore::ForEachItem).
+using ItemTable = std::unordered_map<Key, Item>;
 
 }  // namespace radical
 

@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -98,7 +97,7 @@ class QuorumStore {
     EventId timeout_event = kInvalidEventId;
   };
 
-  std::map<Key, Item>& ReplicaData(Region r) { return replica_data_[static_cast<int>(r)]; }
+  ItemTable& ReplicaData(Region r) { return replica_data_[static_cast<int>(r)]; }
 
   // Second-phase quorum coordination at the coordinator replica.
   void CoordinateRead(uint64_t op_id);
@@ -118,7 +117,7 @@ class QuorumStore {
   Network* network_;
   std::vector<Region> replica_regions_;
   QuorumStoreOptions options_;
-  std::array<std::map<Key, Item>, kNumRegions> replica_data_;
+  std::array<ItemTable, kNumRegions> replica_data_;
   std::unordered_map<uint64_t, PendingOp> pending_;
   uint64_t reads_completed_ = 0;
   uint64_t writes_completed_ = 0;

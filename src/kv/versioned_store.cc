@@ -1,5 +1,6 @@
 #include "src/kv/versioned_store.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace radical {
@@ -55,17 +56,27 @@ std::optional<Item> VersionedStore::Peek(const Key& key) const {
   return it->second;
 }
 
+Item* VersionedStore::ItemAtVersion(const Key& key, Version expected) {
+  const auto [it, inserted] = items_.try_emplace(key);
+  if ((inserted ? kMissingVersion : it->second.version) == expected) {
+    return &it->second;
+  }
+  if (inserted) {
+    items_.erase(it);
+  }
+  return nullptr;
+}
+
 bool VersionedStore::ConditionalPut(const Key& key, const Value& value, Version expected,
                                     SimDuration* latency) {
   ++writes_;
   Account(latency, options_.write_latency);
-  const Version current = VersionOf(key);
-  if (current != expected) {
+  Item* item = ItemAtVersion(key, expected);
+  if (item == nullptr) {
     return false;
   }
-  Item& item = items_[key];
-  item.value = value;
-  ++item.version;
+  item->value = value;
+  ++item->version;
   return true;
 }
 
@@ -77,14 +88,12 @@ std::vector<bool> VersionedStore::ConditionalMultiPut(
   std::vector<bool> applied;
   applied.reserve(entries.size());
   for (const ConditionalWrite& entry : entries) {
-    if (VersionOf(entry.key) != entry.expected) {
-      applied.push_back(false);
-      continue;
+    Item* item = ItemAtVersion(entry.key, entry.expected);
+    if (item != nullptr) {
+      item->value = entry.value;
+      ++item->version;
     }
-    Item& item = items_[entry.key];
-    item.value = entry.value;
-    ++item.version;
-    applied.push_back(true);
+    applied.push_back(item != nullptr);
   }
   return applied;
 }
@@ -98,19 +107,26 @@ void VersionedStore::ApplyValidatedWrite(const Key& key, const Value& value,
                                          Version validated_version, SimDuration* latency) {
   ++writes_;
   Account(latency, options_.write_latency);
-  const Version current = VersionOf(key);
+  const auto [it, inserted] = items_.try_emplace(key);
   // The write lock held since validation guarantees no other execution
   // advanced this item.
-  assert(current == validated_version && "write lock violated: item moved under a held lock");
-  (void)current;
-  Item& item = items_[key];
-  item.value = value;
-  item.version = validated_version + 1;
+  assert((inserted ? kMissingVersion : it->second.version) == validated_version &&
+         "write lock violated: item moved under a held lock");
+  (void)inserted;
+  it->second.value = value;
+  it->second.version = validated_version + 1;
 }
 
 void VersionedStore::ForEachItem(const std::function<void(const Key&, const Item&)>& fn) const {
-  for (const auto& [key, item] : items_) {
-    fn(key, item);
+  std::vector<const ItemTable::value_type*> entries;
+  entries.reserve(items_.size());
+  for (const auto& entry : items_) {
+    entries.push_back(&entry);
+  }
+  std::sort(entries.begin(), entries.end(),
+            [](const auto* a, const auto* b) { return a->first < b->first; });
+  for (const auto* entry : entries) {
+    fn(entry->first, entry->second);
   }
 }
 

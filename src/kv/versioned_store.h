@@ -6,17 +6,17 @@
 // §3.1). Access from the same datacenter costs a few milliseconds of virtual
 // time per operation.
 //
-// The store itself is a plain map — linearizability of the *store* is
-// trivial because the simulation is single-threaded; what Radical must (and
-// does) provide is linearizability of *application executions* that overlap
-// in virtual time, which the LVI protocol layers on top.
+// The store itself is a plain hash table (ItemTable) — linearizability of
+// the *store* is trivial because the simulation is single-threaded; what
+// Radical must (and does) provide is linearizability of *application
+// executions* that overlap in virtual time, which the LVI protocol layers on
+// top.
 
 #ifndef RADICAL_SRC_KV_VERSIONED_STORE_H_
 #define RADICAL_SRC_KV_VERSIONED_STORE_H_
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -93,8 +93,9 @@ class VersionedStore : public Storage {
   // Seeds an item without latency (initial dataset load).
   void Seed(const Key& key, const Value& value);
 
-  // Visits every item (key order), zero latency. Used to warm caches and by
-  // consistency-checking tests.
+  // Visits every item in ascending key order, zero latency. Used to warm
+  // caches and by the determinism fingerprints of the tests, which depend on
+  // this order; the table itself is unordered, so the visit sorts.
   void ForEachItem(const std::function<void(const Key&, const Item&)>& fn) const;
 
   size_t item_count() const { return items_.size(); }
@@ -109,9 +110,13 @@ class VersionedStore : public Storage {
 
  private:
   void Account(SimDuration* latency, SimDuration amount) const;
+  // The item at `key` if it sits at version `expected` (kMissingVersion:
+  // absent, in which case it is created at version 0); nullptr otherwise.
+  // One table lookup either way.
+  Item* ItemAtVersion(const Key& key, Version expected);
 
   VersionedStoreOptions options_;
-  std::map<Key, Item> items_;
+  ItemTable items_;
   uint64_t reads_ = 0;
   uint64_t writes_ = 0;
 };

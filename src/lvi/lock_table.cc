@@ -22,16 +22,14 @@ void LockTable::AcquireAll(ExecutionId exec, std::vector<Key> keys, std::vector<
   }
   ++acquisitions_;
   Acquisition acq{std::move(keys), std::move(modes), 0, std::move(granted)};
-  pending_.emplace(exec, std::move(acq));
-  Advance(exec);
+  if (TakeAvailable(exec, acq)) {
+    Grant(std::move(acq.granted));
+  } else {
+    pending_.emplace(exec, std::move(acq));
+  }
 }
 
-void LockTable::Advance(ExecutionId exec) {
-  const auto it = pending_.find(exec);
-  if (it == pending_.end()) {
-    return;
-  }
-  Acquisition& acq = it->second;
+bool LockTable::TakeAvailable(ExecutionId exec, Acquisition& acq) {
   while (acq.next < acq.keys.size()) {
     const Key& key = acq.keys[acq.next];
     const LockMode mode = acq.modes[acq.next];
@@ -48,14 +46,23 @@ void LockTable::Advance(ExecutionId exec) {
     if (!grantable) {
       ++waits_;
       lock.queue.push_back(Waiter{exec, mode});
-      return;  // Parked; DrainQueue resumes us on release.
+      return false;  // Parked; DrainQueue resumes us on release.
     }
     Hold(exec, mode, key, lock);
     ++acq.next;
   }
-  // All keys held.
-  std::function<void()> granted = std::move(acq.granted);
-  pending_.erase(it);
+  return true;
+}
+
+void LockTable::Advance(PendingMap::iterator it) {
+  if (TakeAvailable(it->first, it->second)) {
+    std::function<void()> granted = std::move(it->second.granted);
+    pending_.erase(it);
+    Grant(std::move(granted));
+  }
+}
+
+void LockTable::Grant(std::function<void()> granted) {
   if (granted) {
     // Zero-delay event: callers never re-enter the table from inside it.
     sim_->Schedule(0, std::move(granted));
@@ -74,27 +81,30 @@ void LockTable::Hold(ExecutionId exec, LockMode mode, const Key& key, KeyLock& l
 }
 
 void LockTable::ReleaseAll(ExecutionId exec) {
-  // Cancel queued waits (robustness; the LVI protocol never releases while
-  // still acquiring, but failure handling may).
+  // Cancel a parked acquisition (the LVI protocol never releases while still
+  // acquiring, but failure handling may). It waits on exactly one key, the
+  // one at `next`; compatible waiters queued behind it may now go ahead, so
+  // that key drains.
   const auto pit = pending_.find(exec);
   if (pit != pending_.end()) {
-    for (const Key& key : pit->second.keys) {
-      const auto lit = locks_.find(key);
-      if (lit == locks_.end()) {
-        continue;
-      }
+    Acquisition& acq = pit->second;
+    assert(acq.next < acq.keys.size());
+    const Key parked_on = std::move(acq.keys[acq.next]);
+    pending_.erase(pit);
+    const auto lit = locks_.find(parked_on);
+    if (lit != locks_.end()) {
       auto& queue = lit->second.queue;
       queue.erase(std::remove_if(queue.begin(), queue.end(),
                                  [exec](const Waiter& w) { return w.exec == exec; }),
                   queue.end());
+      DrainQueue(parked_on);
     }
-    pending_.erase(pit);
   }
   const auto hit = held_.find(exec);
   if (hit == held_.end()) {
     return;
   }
-  const std::set<Key> keys = hit->second;
+  const std::set<Key> keys = std::move(hit->second);
   held_.erase(hit);
   for (const Key& key : keys) {
     const auto lit = locks_.find(key);
@@ -107,45 +117,39 @@ void LockTable::ReleaseAll(ExecutionId exec) {
     }
     lock.readers.erase(exec);
     DrainQueue(key);
-    const auto lit2 = locks_.find(key);
-    if (lit2 != locks_.end() && lit2->second.Free() && lit2->second.queue.empty()) {
-      locks_.erase(lit2);
-    }
   }
 }
 
 void LockTable::DrainQueue(const Key& key) {
   // Waiters resumed here continue their own sequential acquisitions; the
-  // loop re-reads the lock each round because Advance may mutate locks_.
+  // loop re-finds the lock each round because Advance may insert into
+  // locks_ (a rehash invalidates iterators).
   for (;;) {
     const auto lit = locks_.find(key);
-    if (lit == locks_.end() || lit->second.queue.empty()) {
+    if (lit == locks_.end()) {
       return;
     }
     KeyLock& lock = lit->second;
-    const Waiter head = lock.queue.front();
-    if (head.mode == LockMode::kWrite) {
-      if (!lock.Free()) {
-        return;
+    if (lock.queue.empty()) {
+      if (lock.Free()) {
+        locks_.erase(lit);
       }
-      lock.queue.pop_front();
-      Hold(head.exec, head.mode, key, lock);
-      const auto pit = pending_.find(head.exec);
-      if (pit != pending_.end()) {
-        ++pit->second.next;
-        Advance(head.exec);
-      }
-      return;  // A granted writer excludes everything behind it.
-    }
-    if (lock.writer != 0) {
       return;
     }
-    lock.queue.pop_front();
+    const Waiter head = lock.queue.front();
+    const bool writer = head.mode == LockMode::kWrite;
+    if (writer ? !lock.Free() : lock.writer != 0) {
+      return;
+    }
+    lock.queue.erase(lock.queue.begin());
     Hold(head.exec, head.mode, key, lock);
     const auto pit = pending_.find(head.exec);
     if (pit != pending_.end()) {
       ++pit->second.next;
-      Advance(head.exec);
+      Advance(pit);
+    }
+    if (writer) {
+      return;  // A granted writer excludes everything behind it.
     }
     // Consecutive readers are granted together: loop.
   }

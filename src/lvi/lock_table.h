@@ -10,15 +10,21 @@
 // replicated variant in lock_service.h moves it into Raft). Grant
 // continuations are scheduled as zero-delay simulator events, never run
 // re-entrantly inside Acquire/Release.
+//
+// The per-key table is a hash map, but `held_` stays an ordered map of
+// ordered key sets: ReleaseAll frees an execution's keys in key order, and
+// each freed key grants its waiters in turn, so that order fixes which
+// waiting execution is granted (and scheduled) first. Virtual-time outputs
+// depend on it.
 
 #ifndef RADICAL_SRC_LVI_LOCK_TABLE_H_
 #define RADICAL_SRC_LVI_LOCK_TABLE_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "src/analysis/rw_set.h"
@@ -71,7 +77,7 @@ class LockTable {
   struct KeyLock {
     ExecutionId writer = 0;  // 0 = none.
     std::set<ExecutionId> readers;
-    std::deque<Waiter> queue;
+    std::vector<Waiter> queue;  // FIFO: the head is queue.front().
 
     bool Free() const { return writer == 0 && readers.empty(); }
   };
@@ -83,16 +89,24 @@ class LockTable {
     std::function<void()> granted;
   };
 
-  // Advances `exec`'s acquisition: takes every immediately available key,
-  // queues on the first contended one, fires `granted` when done.
-  void Advance(ExecutionId exec);
+  using PendingMap = std::unordered_map<ExecutionId, Acquisition>;
+
+  // Takes every immediately available key of `acq` from `acq.next` on and
+  // parks `exec` on the first contended one. True once every key is held.
+  bool TakeAvailable(ExecutionId exec, Acquisition& acq);
+  // Continues a parked acquisition; fires its `granted` once it holds all.
+  void Advance(PendingMap::iterator it);
+  // Schedules a completed acquisition's continuation.
+  void Grant(std::function<void()> granted);
   void Hold(ExecutionId exec, LockMode mode, const Key& key, KeyLock& lock);
+  // Grants `key`'s queued waiters while compatible, then drops the lock
+  // entry if nobody holds or awaits it.
   void DrainQueue(const Key& key);
 
   Simulator* sim_;
-  std::map<Key, KeyLock> locks_;
+  std::unordered_map<Key, KeyLock> locks_;
   std::map<ExecutionId, std::set<Key>> held_;
-  std::map<ExecutionId, Acquisition> pending_;
+  PendingMap pending_;  // Acquisitions parked on a contended key.
   uint64_t acquisitions_ = 0;
   uint64_t waits_ = 0;
   uint64_t reacquire_merges_ = 0;

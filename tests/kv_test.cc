@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "src/kv/cache_store.h"
 #include "src/kv/intent_table.h"
 #include "src/kv/versioned_store.h"
@@ -78,18 +82,28 @@ TEST(VersionedStoreTest, ApplyValidatedWriteSetsExactVersion) {
   EXPECT_EQ(store.VersionOf("fresh"), 0);
 }
 
+// ForEachItem visits in ascending key order whatever the insertion order
+// and the hash table's bucket layout: cache warming and the determinism
+// fingerprints (determinism_test, replicated_locks_test, session_test,
+// runtime_edge_test) depend on it.
 TEST(VersionedStoreTest, ForEachItemVisitsAll) {
   VersionedStore store;
-  store.Seed("a", Value("1"));
-  store.Seed("b", Value("2"));
-  int count = 0;
+  std::vector<Key> seeded;
+  for (int i = 0; i < 500; ++i) {
+    // Scrambled insertion order over enough keys to span many buckets.
+    const int n = (i * 337) % 500;
+    seeded.push_back("post:" + std::to_string(n));
+    store.Seed(seeded.back(), Value(static_cast<int64_t>(n)));
+  }
+  std::vector<Key> visited;
   store.ForEachItem([&](const Key& key, const Item& item) {
-    (void)key;
-    (void)item;
-    ++count;
+    EXPECT_EQ(item.value, Value(static_cast<int64_t>(std::stoi(key.substr(5)))));
+    EXPECT_EQ(item.version, 1);
+    visited.push_back(key);
   });
-  EXPECT_EQ(count, 2);
-  EXPECT_EQ(store.item_count(), 2u);
+  std::sort(seeded.begin(), seeded.end());
+  EXPECT_EQ(visited, seeded);
+  EXPECT_EQ(store.item_count(), 500u);
 }
 
 // --- CacheStore -------------------------------------------------------------------

@@ -120,6 +120,35 @@ TEST_F(LockTableTest, ReleaseCancelsQueuedWaits) {
   EXPECT_EQ(table_.active_lock_count(), 0u);
 }
 
+// A cancelled waiter must not strand compatible waiters queued behind it:
+// with "k" only read-held, removing the writer that blocked reader 3 lets
+// reader 3 in at once. Before the fix, ReleaseAll on a still-queued
+// execution removed its waiter without draining the queue, and reader 3
+// stayed parked until exec 1 released.
+TEST_F(LockTableTest, CancelledWaiterUnblocksCompatibleWaitersBehindIt) {
+  std::vector<int> order;
+  table_.AcquireAll(1, {"k"}, {LockMode::kRead}, [&] { order.push_back(1); });
+  sim_.Run();
+  table_.AcquireAll(2, {"k"}, {LockMode::kWrite}, [&] { order.push_back(2); });
+  table_.AcquireAll(3, {"j", "k"}, {LockMode::kWrite, LockMode::kRead},
+                    [&] { order.push_back(3); });
+  sim_.Run();
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  EXPECT_EQ(table_.WaitingCount("k"), 2u);
+  table_.ReleaseAll(2);  // Shed while still queued.
+  sim_.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 3}));
+  EXPECT_TRUE(table_.IsReadHeldBy("k", 1));
+  EXPECT_TRUE(table_.IsReadHeldBy("k", 3));
+  EXPECT_TRUE(table_.IsWriteHeldBy("j", 3));
+  EXPECT_EQ(table_.WaitingCount("k"), 0u);
+  table_.ReleaseAll(1);
+  table_.ReleaseAll(3);
+  sim_.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 3}));
+  EXPECT_EQ(table_.active_lock_count(), 0u);
+}
+
 TEST_F(LockTableTest, EmptyKeySetGrantsImmediately) {
   bool granted = false;
   table_.AcquireAll(1, {}, {}, [&] { granted = true; });
