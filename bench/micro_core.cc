@@ -1,9 +1,9 @@
 // Microbenchmarks (google-benchmark) for the core data structures: the lock
 // table, the Raft lock state machine, the versioned store and the near-user
-// cache, the interpreter,
-// the analyzer, the event queue, and the zipf generator. These measure real
-// CPU time (not virtual time) — the simulator's own overhead matters for how
-// large an experiment the harness can run.
+// cache, the interpreter, metric increments, the analyzer, the event queue,
+// and the zipf generator. These measure real CPU time (not virtual time) —
+// the simulator's own overhead matters for how large an experiment the
+// harness can run.
 //
 // Besides the google-benchmark suite, main() always runs two hand-timed
 // simulator-core loops — steady-state events per host second and fabric
@@ -25,10 +25,12 @@
 #include "src/func/builder.h"
 #include "src/kv/cache_store.h"
 #include "src/kv/versioned_store.h"
+#include "src/kv/write_buffer.h"
 #include "src/check/linearizability.h"
 #include "src/lvi/codec.h"
 #include "src/lvi/lock_table.h"
 #include "src/net/network.h"
+#include "src/obs/metrics.h"
 #include "src/raft/lock_state_machine.h"
 #include "src/sim/region.h"
 #include "src/sim/simulator.h"
@@ -196,10 +198,30 @@ void BM_InterpreterFanout(benchmark::State& state) {
   const std::vector<Value> inputs = {Value("u0"), Value("hello")};
   for (auto _ : state) {
     (void)_;
-    benchmark::DoNotOptimize(interp.Execute(fn, inputs, &store));
+    // Each iteration writes into its own buffer over the seeded store, then
+    // drops it: every follower's timeline starts empty each time, so the
+    // cost grows with the fan-out and not with the iteration count.
+    WriteBuffer writes(&store);
+    benchmark::DoNotOptimize(interp.Execute(fn, inputs, &writes));
   }
 }
 BENCHMARK(BM_InterpreterFanout)->Arg(8)->Arg(64);
+
+// The obs layer's per-increment cost on the request path: a component's
+// scope bumping string-named counters, as Runtime and LviServer do.
+void BM_MetricsScopeIncrement(benchmark::State& state) {
+  static const char* const kNames[] = {"requests", "speculations", "validated_speculative",
+                                       "replies"};
+  obs::MetricsRegistry registry;
+  obs::MetricsScope scope(&registry, "runtime.VA");
+  size_t i = 0;
+  for (auto _ : state) {
+    (void)_;
+    scope.Increment(kNames[i++ % 4]);
+  }
+  benchmark::DoNotOptimize(registry.CounterValue("runtime.VA.replies"));
+}
+BENCHMARK(BM_MetricsScopeIncrement);
 
 void BM_AnalyzerSliceSocialPost(benchmark::State& state) {
   Analyzer analyzer(&HostRegistry::Standard());

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string_view>
 
 namespace radical {
 
@@ -58,17 +59,57 @@ const HostRegistry& HostRegistry::Standard() {
 
 namespace {
 
+// One binding of a frame. The name views the executing FunctionDef (a
+// param, or a Let/Read/ForEach/ExternalCall target), which outlives the
+// frame.
+struct Slot {
+  std::string_view name;
+  bool input = false;  // Inputs and variables are separate namespaces.
+  Value value;
+};
+
+// Variable slots a frame reserves beyond its inputs: enough for every
+// function of the benchmark applications, so a frame allocates once.
+constexpr size_t kFrameVarSlots = 8;
+
 // Mutable interpretation state threaded through the recursive walk.
 struct Frame {
   const HostRegistry* hosts;
   Storage* storage;
   const ExecLimits* limits;
   const ExecEnv* env;
-  std::map<std::string, Value> inputs;
-  std::map<std::string, Value> vars;
+  // Inputs and variables in binding order, searched linearly: a function
+  // binds a handful of names, and slots are never removed.
+  std::vector<Slot> slots;
   ExecResult* result;
   bool returned = false;
   uint64_t external_calls = 0;
+
+  // Searches from the newest slot, so a param named twice binds its last
+  // input (variables are bound once each).
+  const Value* Find(std::string_view name, bool input) const {
+    for (auto it = slots.rbegin(); it != slots.rend(); ++it) {
+      if (it->input == input && it->name == name) {
+        return &it->value;
+      }
+    }
+    return nullptr;
+  }
+
+  // Index of variable `name`'s slot, appended (unit) if it is not bound yet.
+  // Indices stay valid as the frame grows.
+  size_t VarSlot(std::string_view name) {
+    for (size_t i = 0; i < slots.size(); ++i) {
+      if (!slots[i].input && slots[i].name == name) {
+        return i;
+      }
+    }
+    slots.emplace_back().name = name;
+    return slots.size() - 1;
+  }
+
+  // Binds (or rebinds) variable `name`.
+  void Bind(std::string_view name, Value value) { slots[VarSlot(name)].value = std::move(value); }
 
   bool Fail(const std::string& message) {
     if (result->status.ok()) {
@@ -116,19 +157,19 @@ bool EvalExpr(const ExprPtr& expr, Frame& f, Value* out) {
       *out = expr->literal;
       return true;
     case ExprKind::kInput: {
-      const auto it = f.inputs.find(expr->name);
-      if (it == f.inputs.end()) {
+      const Value* value = f.Find(expr->name, /*input=*/true);
+      if (value == nullptr) {
         return f.Fail("unknown input: " + expr->name);
       }
-      *out = it->second;
+      *out = *value;
       return true;
     }
     case ExprKind::kVar: {
-      const auto it = f.vars.find(expr->name);
-      if (it == f.vars.end()) {
+      const Value* value = f.Find(expr->name, /*input=*/false);
+      if (value == nullptr) {
         return f.Fail("unbound variable: " + expr->name);
       }
-      *out = it->second;
+      *out = *value;
       return true;
     }
     case ExprKind::kConcat: {
@@ -260,7 +301,9 @@ bool EvalExpr(const ExprPtr& expr, Frame& f, Value* out) {
       }
       ValueList out_list;
       if (list.is_list()) {
-        out_list = list.AsList();
+        const ValueList& in = list.AsList();
+        out_list.reserve(in.size() + 1);
+        out_list.insert(out_list.end(), in.begin(), in.end());
       } else if (!list.is_unit()) {
         return f.Fail("append to non-list");
       }
@@ -287,11 +330,8 @@ bool EvalExpr(const ExprPtr& expr, Frame& f, Value* out) {
         return f.Fail("take of non-list");
       }
       const ValueList& in = list.AsList();
-      ValueList out_list;
-      for (size_t i = 0; i < in.size() && i < static_cast<size_t>(std::max<int64_t>(n, 0)); ++i) {
-        out_list.push_back(in[i]);
-      }
-      *out = Value(std::move(out_list));
+      const size_t count = std::min(in.size(), static_cast<size_t>(std::max<int64_t>(n, 0)));
+      *out = Value(ValueList(in.begin(), in.begin() + static_cast<std::ptrdiff_t>(count)));
       return true;
     }
     case ExprKind::kHash: {
@@ -365,7 +405,7 @@ bool ExecStmt(const StmtPtr& stmt, Frame& f) {
       if (!EvalExpr(stmt->expr, f, &v)) {
         return false;
       }
-      f.vars[stmt->var] = std::move(v);
+      f.Bind(stmt->var, std::move(v));
       return true;
     }
     case StmtKind::kRead: {
@@ -377,11 +417,11 @@ bool ExecStmt(const StmtPtr& stmt, Frame& f) {
       if (stmt->log_only) {
         // Slice-mode read kept only to log the key: no fetch, var unbound
         // downstream by construction.
-        f.vars[stmt->var] = Value();
+        f.Bind(stmt->var, Value());
         return true;
       }
       std::optional<Item> item = f.storage->Get(key, &f.result->elapsed);
-      f.vars[stmt->var] = item.has_value() ? std::move(item->value) : Value();
+      f.Bind(stmt->var, item.has_value() ? std::move(item->value) : Value());
       return true;
     }
     case StmtKind::kWrite: {
@@ -415,10 +455,13 @@ bool ExecStmt(const StmtPtr& stmt, Frame& f) {
       if (!list.is_list()) {
         return f.Fail("foreach over non-list");
       }
-      // Copy: the loop variable shadows; body may rebind vars.
-      const ValueList items = list.AsList();
-      for (const Value& item : items) {
-        f.vars[stmt->var] = item;
+      // `list` shares the list with whatever bound it, and lists are
+      // immutable, so the body may rebind any variable (the list's own
+      // included) without disturbing the iteration. The loop variable
+      // shadows an outer binding of the same name.
+      const size_t loop_var = f.VarSlot(stmt->var);
+      for (const Value& item : list.AsList()) {
+        f.slots[loop_var].value = item;
         if (!ExecBody(stmt->then_body, f)) {
           return false;
         }
@@ -454,7 +497,7 @@ bool ExecStmt(const StmtPtr& stmt, Frame& f) {
       // re-charging (the Stripe IdempotencyKey pattern, §3.5).
       const std::string key = "exec-" + std::to_string(f.env->exec_id) + "-call-" +
                               std::to_string(f.external_calls++);
-      f.vars[stmt->var] = service->Call(key, request, &f.result->elapsed);
+      f.Bind(stmt->var, service->Call(key, request, &f.result->elapsed));
       return true;
     }
   }
@@ -489,11 +532,11 @@ ExecResult Interpreter::Execute(const FunctionDef& fn, const std::vector<Value>&
               .storage = storage,
               .limits = &limits,
               .env = env,
-              .inputs = {},
-              .vars = {},
+              .slots = {},
               .result = &result};
+  frame.slots.reserve(inputs.size() + kFrameVarSlots);
   for (size_t i = 0; i < inputs.size(); ++i) {
-    frame.inputs[fn.params[i]] = inputs[i];
+    frame.slots.push_back(Slot{fn.params[i], true, inputs[i]});
   }
   ExecBody(fn.body, frame);
   return result;

@@ -54,6 +54,10 @@ class CacheStore : public Storage {
   // which is exactly what the primary will assign when the followup lands).
   void Install(const Key& key, const Value& value, Version version);
 
+  // Sizes the table for `items` entries up front (cache warm-up), so that
+  // filling it does not rehash along the way.
+  void Reserve(size_t items) { items_.reserve(items); }
+
   // Zero-latency peek for tests.
   std::optional<Item> Peek(const Key& key) const;
 

@@ -93,10 +93,13 @@ class VersionedStore : public Storage {
   // Seeds an item without latency (initial dataset load).
   void Seed(const Key& key, const Value& value);
 
-  // Visits every item in ascending key order, zero latency. Used to warm
-  // caches and by the determinism fingerprints of the tests, which depend on
-  // this order; the table itself is unordered, so the visit sorts.
+  // Visits every item in ascending key order, zero latency. Used by the
+  // determinism fingerprints of the tests, which depend on this order; the
+  // table itself is unordered, so the visit sorts.
   void ForEachItem(const std::function<void(const Key&, const Item&)>& fn) const;
+  // The item table itself, in its unspecified hash order: for visits whose
+  // order cannot reach any output (filling another hash table).
+  const ItemTable& items() const { return items_; }
 
   size_t item_count() const { return items_.size(); }
   uint64_t reads() const { return reads_; }

@@ -8,7 +8,7 @@
 namespace radical {
 
 void LocalLockService::AcquireAll(ExecutionId exec, std::vector<Key> keys,
-                                  std::vector<LockMode> modes, std::function<void()> granted) {
+                                  std::vector<LockMode> modes, InlineTask granted) {
   table_.AcquireAll(exec, std::move(keys), std::move(modes), std::move(granted));
 }
 
@@ -23,7 +23,7 @@ ShardedLockService::ShardedLockService(Simulator* sim, int shards) : router_(sha
 }
 
 void ShardedLockService::AcquireAll(ExecutionId exec, std::vector<Key> keys,
-                                    std::vector<LockMode> modes, std::function<void()> granted) {
+                                    std::vector<LockMode> modes, InlineTask granted) {
   assert(std::is_sorted(keys.begin(), keys.end()) && "keys must be sorted");
   // Partition the sorted key set into per-shard groups, preserving key order
   // within each group: the acquisition order is (shard, key) — one total
@@ -34,34 +34,30 @@ void ShardedLockService::AcquireAll(ExecutionId exec, std::vector<Key> keys,
     group.keys.push_back(std::move(keys[i]));
     group.modes.push_back(modes[i]);
   }
-  auto groups = std::make_shared<std::vector<ShardGroup>>();
+  auto chain = std::make_shared<GroupChain>();
   for (int s = 0; s < router_.shards(); ++s) {
     if (!by_shard[static_cast<size_t>(s)].keys.empty()) {
       by_shard[static_cast<size_t>(s)].shard = s;
-      groups->push_back(std::move(by_shard[static_cast<size_t>(s)]));
+      chain->groups.push_back(std::move(by_shard[static_cast<size_t>(s)]));
     }
   }
-  AcquireGroup(exec, std::move(groups), 0,
-               std::make_shared<std::function<void()>>(std::move(granted)));
+  chain->granted = std::move(granted);
+  AcquireGroup(exec, std::move(chain), 0);
 }
 
-void ShardedLockService::AcquireGroup(ExecutionId exec,
-                                      std::shared_ptr<std::vector<ShardGroup>> groups,
-                                      size_t index,
-                                      std::shared_ptr<std::function<void()>> granted) {
-  if (index >= groups->size()) {
-    (*granted)();
+void ShardedLockService::AcquireGroup(ExecutionId exec, std::shared_ptr<GroupChain> chain,
+                                      size_t index) {
+  if (index >= chain->groups.size()) {
+    chain->granted();
     return;
   }
-  ShardGroup& group = (*groups)[index];
+  ShardGroup& group = chain->groups[index];
   // A retried acquisition merges into the original inside the shard's table
   // (the new continuation replaces the queued one), exactly as with the
   // single table — the chain then resumes from wherever the retry reaches.
   table(group.shard).AcquireAll(exec, group.keys, group.modes,
-                                [this, exec, groups = std::move(groups), index,
-                                 granted = std::move(granted)]() mutable {
-                                  AcquireGroup(exec, std::move(groups), index + 1,
-                                               std::move(granted));
+                                [this, exec, chain = std::move(chain), index]() mutable {
+                                  AcquireGroup(exec, std::move(chain), index + 1);
                                 });
 }
 
@@ -160,7 +156,7 @@ const LockStateMachine* ReplicatedLockService::LeaderState(int shard) const {
 
 void ReplicatedLockService::AcquireAll(ExecutionId exec, std::vector<Key> keys,
                                        std::vector<LockMode> modes,
-                                       std::function<void()> granted) {
+                                       InlineTask granted) {
   assert(keys.size() == modes.size());
   if (keys.empty()) {
     sim_->Schedule(0, std::move(granted));
@@ -508,7 +504,7 @@ void ReplicatedLockService::OnGrant(LockGroup& group, NodeId node, LogIndex inde
   if (acq.granted_keys.size() < acq.keys.size()) {
     return;
   }
-  std::function<void()> granted = std::move(acq.granted);
+  InlineTask granted = std::move(acq.granted);
   pending_.erase(it);
   if (granted) {
     sim_->Schedule(0, std::move(granted));

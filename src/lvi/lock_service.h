@@ -25,13 +25,13 @@
 #ifndef RADICAL_SRC_LVI_LOCK_SERVICE_H_
 #define RADICAL_SRC_LVI_LOCK_SERVICE_H_
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <set>
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/inline_task.h"
 #include "src/lvi/lock_table.h"
 #include "src/lvi/shard_router.h"
 #include "src/raft/cluster.h"
@@ -46,7 +46,7 @@ class LockService {
   // Acquires locks on all `keys` (sorted lexicographically) with matching
   // `modes`; `granted` fires once every lock is held.
   virtual void AcquireAll(ExecutionId exec, std::vector<Key> keys, std::vector<LockMode> modes,
-                          std::function<void()> granted) = 0;
+                          InlineTask granted) = 0;
 
   // Releases everything `exec` holds.
   virtual void ReleaseAll(ExecutionId exec) = 0;
@@ -58,7 +58,7 @@ class LocalLockService : public LockService {
   explicit LocalLockService(Simulator* sim) : table_(sim) {}
 
   void AcquireAll(ExecutionId exec, std::vector<Key> keys, std::vector<LockMode> modes,
-                  std::function<void()> granted) override;
+                  InlineTask granted) override;
   void ReleaseAll(ExecutionId exec) override;
 
   LockTable& table() { return table_; }
@@ -73,7 +73,7 @@ class ShardedLockService : public LockService {
   ShardedLockService(Simulator* sim, int shards);
 
   void AcquireAll(ExecutionId exec, std::vector<Key> keys, std::vector<LockMode> modes,
-                  std::function<void()> granted) override;
+                  InlineTask granted) override;
   void ReleaseAll(ExecutionId exec) override;
 
   int shards() const { return router_.shards(); }
@@ -85,15 +85,20 @@ class ShardedLockService : public LockService {
   uint64_t total_waits() const;
 
  private:
-  // Acquires `exec`'s group on `groups[index]`, then chains to index + 1;
-  // fires `granted` after the last group.
   struct ShardGroup {
     int shard = 0;
     std::vector<Key> keys;
     std::vector<LockMode> modes;
   };
-  void AcquireGroup(ExecutionId exec, std::shared_ptr<std::vector<ShardGroup>> groups,
-                    size_t index, std::shared_ptr<std::function<void()>> granted);
+  // One AcquireAll's per-shard groups, in ascending shard order, and the
+  // continuation to fire once the last group is held.
+  struct GroupChain {
+    std::vector<ShardGroup> groups;
+    InlineTask granted;
+  };
+  // Acquires `exec`'s group on `chain->groups[index]`, then chains to
+  // index + 1; fires `chain->granted` after the last group.
+  void AcquireGroup(ExecutionId exec, std::shared_ptr<GroupChain> chain, size_t index);
 
   ShardRouter router_;
   std::vector<std::unique_ptr<LockTable>> tables_;
@@ -123,7 +128,7 @@ class ReplicatedLockService : public LockService {
   bool Bootstrap();
 
   void AcquireAll(ExecutionId exec, std::vector<Key> keys, std::vector<LockMode> modes,
-                  std::function<void()> granted) override;
+                  InlineTask granted) override;
   void ReleaseAll(ExecutionId exec) override;
 
   int shards() const { return router_.shards(); }
@@ -169,7 +174,7 @@ class ReplicatedLockService : public LockService {
     size_t next = 0;        // Serial mode: next key to submit through Raft.
     size_t batch_from = 0;  // Batched mode: first key of the current run.
     std::set<Key> granted_keys;
-    std::function<void()> granted;
+    InlineTask granted;
   };
 
   void BuildGroup(int g, int node_count, const RaftOptions& raft_options,

@@ -8,7 +8,7 @@ namespace radical {
 LockTable::LockTable(Simulator* sim) : sim_(sim) {}
 
 void LockTable::AcquireAll(ExecutionId exec, std::vector<Key> keys, std::vector<LockMode> modes,
-                           std::function<void()> granted) {
+                           InlineTask granted) {
   assert(keys.size() == modes.size());
   assert(std::is_sorted(keys.begin(), keys.end()));
   const auto pit = pending_.find(exec);
@@ -21,23 +21,25 @@ void LockTable::AcquireAll(ExecutionId exec, std::vector<Key> keys, std::vector<
     return;
   }
   ++acquisitions_;
-  Acquisition acq{std::move(keys), std::move(modes), 0, std::move(granted)};
-  if (TakeAvailable(exec, acq)) {
-    Grant(std::move(acq.granted));
+  size_t next = 0;
+  if (TakeAvailable(exec, keys, modes, &next)) {
+    Grant(std::move(granted));
   } else {
-    pending_.emplace(exec, std::move(acq));
+    pending_.emplace(exec, Acquisition{std::move(keys), std::move(modes), next,
+                                       std::move(granted)});
   }
 }
 
-bool LockTable::TakeAvailable(ExecutionId exec, Acquisition& acq) {
-  while (acq.next < acq.keys.size()) {
-    const Key& key = acq.keys[acq.next];
-    const LockMode mode = acq.modes[acq.next];
+bool LockTable::TakeAvailable(ExecutionId exec, const std::vector<Key>& keys,
+                              const std::vector<LockMode>& modes, size_t* next) {
+  while (*next < keys.size()) {
+    const Key& key = keys[*next];
+    const LockMode mode = modes[*next];
     KeyLock& lock = locks_[key];
     // Already held (write subsumes read in the rw-set, so re-requests only
     // happen if a caller passes duplicate keys; treat as held).
     if (lock.writer == exec || lock.readers.count(exec) > 0) {
-      ++acq.next;
+      ++*next;
       continue;
     }
     const bool grantable = mode == LockMode::kWrite
@@ -49,20 +51,21 @@ bool LockTable::TakeAvailable(ExecutionId exec, Acquisition& acq) {
       return false;  // Parked; DrainQueue resumes us on release.
     }
     Hold(exec, mode, key, lock);
-    ++acq.next;
+    ++*next;
   }
   return true;
 }
 
 void LockTable::Advance(PendingMap::iterator it) {
-  if (TakeAvailable(it->first, it->second)) {
-    std::function<void()> granted = std::move(it->second.granted);
+  Acquisition& acq = it->second;
+  if (TakeAvailable(it->first, acq.keys, acq.modes, &acq.next)) {
+    InlineTask granted = std::move(acq.granted);
     pending_.erase(it);
     Grant(std::move(granted));
   }
 }
 
-void LockTable::Grant(std::function<void()> granted) {
+void LockTable::Grant(InlineTask&& granted) {
   if (granted) {
     // Zero-delay event: callers never re-enter the table from inside it.
     sim_->Schedule(0, std::move(granted));

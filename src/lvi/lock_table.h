@@ -21,13 +21,13 @@
 #define RADICAL_SRC_LVI_LOCK_TABLE_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <set>
 #include <unordered_map>
 #include <vector>
 
 #include "src/analysis/rw_set.h"
+#include "src/common/inline_task.h"
 #include "src/sim/simulator.h"
 
 namespace radical {
@@ -49,7 +49,7 @@ class LockTable {
   // a client retries an LVI request whose original attempt died with a
   // server crash — the locks survived on disk, the continuation did not.
   void AcquireAll(ExecutionId exec, std::vector<Key> keys, std::vector<LockMode> modes,
-                  std::function<void()> granted);
+                  InlineTask granted);
 
   // Releases every lock held by `exec` and cancels any of its queued waits;
   // unblocked waiters continue their acquisition sequences.
@@ -82,22 +82,25 @@ class LockTable {
     bool Free() const { return writer == 0 && readers.empty(); }
   };
 
+  // A parked acquisition. Only a contended AcquireAll builds one: an
+  // uncontended grant goes straight from the arguments to the grant event.
   struct Acquisition {
     std::vector<Key> keys;
     std::vector<LockMode> modes;
     size_t next = 0;  // Index of the next key to take.
-    std::function<void()> granted;
+    InlineTask granted;
   };
 
   using PendingMap = std::unordered_map<ExecutionId, Acquisition>;
 
-  // Takes every immediately available key of `acq` from `acq.next` on and
+  // Takes every immediately available key of `keys` from `*next` on and
   // parks `exec` on the first contended one. True once every key is held.
-  bool TakeAvailable(ExecutionId exec, Acquisition& acq);
+  bool TakeAvailable(ExecutionId exec, const std::vector<Key>& keys,
+                     const std::vector<LockMode>& modes, size_t* next);
   // Continues a parked acquisition; fires its `granted` once it holds all.
   void Advance(PendingMap::iterator it);
   // Schedules a completed acquisition's continuation.
-  void Grant(std::function<void()> granted);
+  void Grant(InlineTask&& granted);
   void Hold(ExecutionId exec, LockMode mode, const Key& key, KeyLock& lock);
   // Grants `key`'s queued waiters while compatible, then drops the lock
   // entry if nobody holds or awaits it.

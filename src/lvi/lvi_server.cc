@@ -117,7 +117,7 @@ int LviServer::ShardForExec(ExecutionId exec_id) const {
   return it == exec_shard_.end() ? 0 : it->second;
 }
 
-void LviServer::BumpShard(int shard, const std::string& name) {
+void LviServer::BumpShard(int shard, std::string_view name) {
   if (!shard_metrics_.empty()) {
     shard_metrics_[static_cast<size_t>(shard)].Increment(name);
   }

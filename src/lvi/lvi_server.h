@@ -35,6 +35,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -364,7 +365,7 @@ class LviServer {
   }
   // Bumps `name` on `shard`'s scope; no-op at shards == 1 (the global scope
   // is always bumped separately at the call sites).
-  void BumpShard(int shard, const std::string& name);
+  void BumpShard(int shard, std::string_view name);
   // Retires an intent: removes the record (from its home shard's table), the
   // exec->shard entry, and — in batched mode — the durable intent marker
   // item the conditional multi-write placed in the primary store.

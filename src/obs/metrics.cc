@@ -243,11 +243,30 @@ std::string MetricsRegistry::SnapshotText() const {
 }
 
 MetricsScope::MetricsScope(MetricsRegistry* registry, std::string prefix)
-    : registry_(registry), prefix_(std::move(prefix)) {}
+    : registry_(registry),
+      prefix_(std::move(prefix)),
+      handles_(registry == nullptr ? nullptr : std::make_shared<Handles>()) {}
 
-void MetricsScope::Increment(const std::string& name, uint64_t by) {
+std::string MetricsScope::Qualified(std::string_view name) const {
+  std::string qualified;
+  qualified.reserve(prefix_.size() + 1 + name.size());
+  qualified.append(prefix_).append(1, '.').append(name);
+  return qualified;
+}
+
+template <typename T>
+T* MetricsScope::Resolve(Memo<T>& memo, std::string_view name,
+                         T* (MetricsRegistry::*create)(const std::string&)) const {
+  auto it = memo.find(name);
+  if (it == memo.end()) {
+    it = memo.emplace(std::string(name), (registry_->*create)(Qualified(name))).first;
+  }
+  return it->second;
+}
+
+void MetricsScope::Increment(std::string_view name, uint64_t by) {
   if (registry_ != nullptr) {
-    registry_->GetCounter(Qualified(name))->Increment(by);
+    Resolve(handles_->counters, name, &MetricsRegistry::GetCounter)->Increment(by);
   }
 }
 
@@ -271,12 +290,14 @@ std::map<std::string, uint64_t> MetricsScope::all() const {
   return registry_->CountersWithPrefix(prefix_ + ".");
 }
 
-Counter* MetricsScope::counter(const std::string& name) const {
-  return registry_ == nullptr ? nullptr : registry_->GetCounter(Qualified(name));
+Counter* MetricsScope::counter(std::string_view name) const {
+  return registry_ == nullptr ? nullptr
+                              : Resolve(handles_->counters, name, &MetricsRegistry::GetCounter);
 }
 
-Gauge* MetricsScope::gauge(const std::string& name) const {
-  return registry_ == nullptr ? nullptr : registry_->GetGauge(Qualified(name));
+Gauge* MetricsScope::gauge(std::string_view name) const {
+  return registry_ == nullptr ? nullptr
+                              : Resolve(handles_->gauges, name, &MetricsRegistry::GetGauge);
 }
 
 LatencyHistogram* MetricsScope::histogram(const std::string& name,

@@ -29,6 +29,8 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -149,6 +151,11 @@ class MetricsRegistry {
 // "<prefix>.". Copyable view; the registry must outlive it. Also serves as
 // the drop-in replacement for the old per-class `Counters` fields — the
 // legacy `counters()` accessors on Runtime/LviServer return one of these.
+//
+// Increment, counter and gauge resolve a name through a memo that every copy
+// of the scope shares: the first use of a name qualifies it and looks it up
+// in the registry (creating the instrument then, never earlier); every later
+// use is one hash lookup with no string building and no allocation.
 class MetricsScope {
  public:
   MetricsScope() = default;
@@ -158,7 +165,7 @@ class MetricsScope {
   const std::string& prefix() const { return prefix_; }
   MetricsRegistry* registry() const { return registry_; }
 
-  void Increment(const std::string& name, uint64_t by = 1);
+  void Increment(std::string_view name, uint64_t by = 1);
   uint64_t Get(const std::string& name) const;
   // Ratio numerator/(numerator+denominator); 0 if both are zero. (Same
   // contract as the old Counters::RatioOf.)
@@ -167,16 +174,34 @@ class MetricsScope {
   std::map<std::string, uint64_t> all() const;
 
   // Resolved handles for hot paths (nullptr when the scope is invalid).
-  Counter* counter(const std::string& name) const;
-  Gauge* gauge(const std::string& name) const;
+  Counter* counter(std::string_view name) const;
+  Gauge* gauge(std::string_view name) const;
   LatencyHistogram* histogram(const std::string& name, size_t reservoir_capacity = 1024) const;
   void AddCallbackGauge(const std::string& name, std::function<int64_t()> read) const;
 
  private:
-  std::string Qualified(const std::string& name) const { return prefix_ + "." + name; }
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+  // Unqualified name -> instrument; heterogeneous lookup by string_view.
+  template <typename T>
+  using Memo = std::unordered_map<std::string, T*, NameHash, std::equal_to<>>;
+  struct Handles {
+    Memo<Counter> counters;
+    Memo<Gauge> gauges;
+  };
+
+  std::string Qualified(std::string_view name) const;
+  template <typename T>
+  T* Resolve(Memo<T>& memo, std::string_view name,
+             T* (MetricsRegistry::*create)(const std::string&)) const;
 
   MetricsRegistry* registry_ = nullptr;
   std::string prefix_;
+  std::shared_ptr<Handles> handles_;  // Shared by copies; null when invalid.
 };
 
 }  // namespace obs

@@ -156,12 +156,16 @@ const AnalyzedFunction& RadicalDeployment::RegisterFunction(const FunctionDef& f
 void RadicalDeployment::Seed(const Key& key, const Value& value) { primary_.Seed(key, value); }
 
 void RadicalDeployment::WarmCaches() {
-  primary_.ForEachItem([this](const Key& key, const Item& item) {
-    for (auto& [region, runtime] : runtimes_) {
-      (void)region;
-      runtime->cache().Install(key, item.value, item.version);
+  // Straight from the primary's table, unsorted: a cache is only ever looked
+  // up by key, never iterated, so the install order cannot reach an output.
+  for (auto& [region, runtime] : runtimes_) {
+    (void)region;
+    CacheStore& cache = runtime->cache();
+    cache.Reserve(primary_.item_count());
+    for (const auto& [key, item] : primary_.items()) {
+      cache.Install(key, item.value, item.version);
     }
-  });
+  }
 }
 
 Runtime& RadicalDeployment::runtime(Region region) {

@@ -206,16 +206,21 @@ void Runtime::StartLvi(std::shared_ptr<RequestState> state, RwSet rw) {
   // votes) — and carries -1 that matches the primary's "absent" on the
   // validate step.
   bool read_missing = false;
-  for (const Key& key : rw.AllKeysSorted()) {
+  std::vector<Key> keys = rw.AllKeysSorted();
+  request.items.reserve(keys.size());
+  state->write_keys.reserve(rw.writes.size());
+  state->write_base_versions.reserve(rw.writes.size());
+  for (Key& key : keys) {
     const Version version = cache_.VersionOf(key);
     if (version == kMissingVersion && rw.reads.count(key) > 0) {
       read_missing = true;
     }
-    request.items.push_back(LviItem{key, version, rw.ModeFor(key)});
-    if (rw.ModeFor(key) == LockMode::kWrite) {
+    const LockMode mode = rw.ModeFor(key);
+    if (mode == LockMode::kWrite) {
       state->write_keys.push_back(key);
       state->write_base_versions.push_back(version);
     }
+    request.items.push_back(LviItem{std::move(key), version, mode});
   }
   // Session admission check (read-your-writes / monotonic reads): an item
   // the cache holds *below* the session's high-water mark means speculating

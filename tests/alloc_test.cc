@@ -1,13 +1,14 @@
 // Allocation-counter harness: pins the simulator core's zero-allocation
-// claims (docs/sim.md).
+// claims (docs/sim.md) and the exact allocation counts of the request
+// path's lock cycles, metric increments and interpreter frames.
 //
 // A replacement global operator new counts allocations while a test window
 // is open. Each test warms the component under test past its high-water mark
 // (slab chunks grown, scratch buffers at their largest message, fabric
 // channels and counters created), then opens the window and drives the
 // steady-state path: scheduling + firing events, sending + delivering
-// envelopes, encoding protocol messages. The assertion is exactly zero
-// allocations inside the window — not "few", zero — so any regression that
+// envelopes, encoding protocol messages. The assertion is exact — zero where
+// the path is allocation-free, not "few" — so any regression that
 // reintroduces per-event or per-message heap traffic fails loudly.
 
 #include <gtest/gtest.h>
@@ -16,9 +17,13 @@
 #include <cstdlib>
 #include <new>
 
+#include "src/func/builder.h"
+#include "src/func/interpreter.h"
+#include "src/kv/versioned_store.h"
 #include "src/lvi/codec.h"
 #include "src/lvi/lock_table.h"
 #include "src/net/network.h"
+#include "src/obs/metrics.h"
 #include "src/raft/lock_state_machine.h"
 #include "src/sim/region.h"
 #include "src/sim/simulator.h"
@@ -226,6 +231,88 @@ TEST(AllocTest, LockTableUncontendedCycleAllocatesThreeTimes) {
   EXPECT_EQ(StopCounting(), 3u * kCycles);
   EXPECT_EQ(grants, kCycles + 1);
   EXPECT_EQ(table.active_lock_count(), 0u);
+}
+
+// The same cycle with a grant continuation that captures more than 16 bytes
+// (a std::function stores only 16 bytes inline): the continuation lives in
+// the InlineTask, so it adds nothing to the three allocations above. As a
+// std::function, the same grant cost a fourth allocation per cycle.
+TEST(AllocTest, LockTableGrantWithLargeCaptureAllocatesThreeTimes) {
+  Simulator sim(1);
+  LockTable table(&sim);
+  uint64_t sum = 0;
+  auto cycle = [&](ExecutionId exec, std::vector<Key> keys, std::vector<LockMode> modes) {
+    const uint64_t a = exec;
+    const uint64_t b = exec * 3;
+    const uint64_t c = exec * 7;
+    table.AcquireAll(exec, std::move(keys), std::move(modes),
+                     [&sum, a, b, c] { sum += a + b + c; });
+    sim.Run();
+    table.ReleaseAll(exec);
+  };
+  cycle(1, {"avail:h1:d3"}, {LockMode::kWrite});  // Warm.
+  constexpr int kCycles = 100;
+  std::vector<std::vector<Key>> keys(kCycles, std::vector<Key>{"avail:h1:d3"});
+  std::vector<std::vector<LockMode>> modes(kCycles, std::vector<LockMode>{LockMode::kWrite});
+  StartCounting();
+  for (int i = 0; i < kCycles; ++i) {
+    cycle(static_cast<ExecutionId>(i + 2), std::move(keys[i]), std::move(modes[i]));
+  }
+  EXPECT_EQ(StopCounting(), 3u * kCycles);
+  EXPECT_EQ(sum, 11u * (kCycles + 1) * (kCycles + 2) / 2);
+  EXPECT_EQ(table.active_lock_count(), 0u);
+}
+
+// Incrementing a counter the scope has already resolved costs a memo lookup
+// and no allocation, also through a copy of the scope made after the first
+// increment (copies share the memo). The names are longer than the small-
+// string buffer, so building a qualified name or a std::string argument
+// would show up here. When every increment built "<prefix>.<name>" (and a
+// std::string from the literal), this window cost 500 allocations.
+TEST(AllocTest, ScopeIncrementOfAnExistingCounterAllocatesNothing) {
+  obs::MetricsRegistry registry;
+  obs::MetricsScope scope(&registry, "runtime.VA");
+  scope.Increment("validated_speculative");  // Warm: resolves the name.
+  scope.Increment(std::string("shed_") + "validation");
+  const obs::MetricsScope copy = scope;
+  const std::string dynamic = "shed_validation";
+  StartCounting();
+  for (int i = 0; i < 100; ++i) {
+    scope.Increment("validated_speculative");
+    obs::MetricsScope(copy).Increment("validated_speculative", 2);
+    scope.Increment(dynamic);
+  }
+  EXPECT_EQ(StopCounting(), 0u);
+  EXPECT_EQ(registry.CounterValue("runtime.VA.validated_speculative"), 301u);
+  EXPECT_EQ(registry.CounterValue("runtime.VA.shed_validation"), 101u);
+}
+
+// One execution of the micro_core BM_InterpreterTimeline function: read a
+// 20-entry timeline and return its first 10 entries. The allocations are the
+// frame's slot vector, the result's read log, and the taken list (its vector
+// and its shared block). With std::map frames, a deep-copying Take that
+// grew its list one push_back at a time, this execution cost 9 allocations.
+TEST(AllocTest, InterpreterTimelineExecutionAllocatesFourTimes) {
+  Interpreter interp(&HostRegistry::Standard());
+  VersionedStore store;
+  ValueList timeline;
+  for (int i = 0; i < 20; ++i) {
+    timeline.push_back(Value("entry " + std::to_string(i)));
+  }
+  store.Seed("timeline:u1", Value(timeline));
+  const FunctionDef fn = Fn("timeline", {"u"}, {
+      Read("tl", Cat({C("timeline:"), In("u")})),
+      Return(Take(V("tl"), C(static_cast<int64_t>(10)))),
+  });
+  const std::vector<Value> inputs = {Value("u1")};
+  ASSERT_TRUE(interp.Execute(fn, inputs, &store).ok());  // Warm.
+  constexpr uint64_t kExecutions = 100;
+  StartCounting();
+  for (uint64_t i = 0; i < kExecutions; ++i) {
+    const ExecResult r = interp.Execute(fn, inputs, &store);
+    EXPECT_EQ(r.return_value.AsList().size(), 10u);
+  }
+  EXPECT_EQ(StopCounting(), 4 * kExecutions);
 }
 
 }  // namespace

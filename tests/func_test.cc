@@ -237,6 +237,75 @@ TEST_F(FuncTest, ForEachOverMissingListIsEmpty) {
   EXPECT_EQ(Run(fn2, {}).return_value, Value(static_cast<int64_t>(0)));
 }
 
+TEST_F(FuncTest, LetRebindsAnExistingVariable) {
+  const FunctionDef fn = Fn("f", {}, {
+      Let("x", C(static_cast<int64_t>(1))),
+      Let("y", C(Value("other"))),
+      Let("x", Add(V("x"), C(static_cast<int64_t>(10)))),
+      Let("x", Add(V("x"), C(static_cast<int64_t>(100)))),
+      Return(Cat({IntToStr(V("x")), V("y")})),
+  });
+  EXPECT_EQ(Run(fn, {}).return_value, Value("111other"));
+}
+
+TEST_F(FuncTest, ForEachVariableShadowsAnOuterBinding) {
+  // The loop variable takes over an outer variable of the same name and
+  // keeps the last element's value after the loop.
+  const FunctionDef fn = Fn("f", {}, {
+      Let("x", C(Value("outer"))),
+      Let("l", Append(Append(C(ValueList{}), C(Value("a"))), C(Value("b")))),
+      Let("seen", C(ValueList{})),
+      ForEach("x", V("l"), {Let("seen", Append(V("seen"), V("x")))}),
+      Return(Append(V("seen"), V("x"))),
+  });
+  EXPECT_EQ(Run(fn, {}).return_value,
+            Value(ValueList{Value("a"), Value("b"), Value("b")}));
+}
+
+TEST_F(FuncTest, ForEachBodyMayRebindTheIteratedList) {
+  // Rebinding the list mid-loop changes neither the iteration (it walks
+  // the list as bound when the loop started) nor the list already shared
+  // with the store.
+  store_.Seed("l", Value(ValueList{Value("a"), Value("b"), Value("c")}));
+  const FunctionDef fn = Fn("f", {}, {
+      Read("l", C("l")),
+      Let("n", C(static_cast<int64_t>(0))),
+      ForEach("x", V("l"), {
+          Let("l", Append(V("l"), V("x"))),
+          Let("n", Add(V("n"), C(static_cast<int64_t>(1)))),
+      }),
+      Return(Append(V("l"), IntToStr(V("n")))),
+  });
+  const ExecResult r = Run(fn, {});
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.return_value,
+            Value(ValueList{Value("a"), Value("b"), Value("c"), Value("a"), Value("b"),
+                            Value("c"), Value("3")}));
+  EXPECT_EQ(store_.Peek("l")->value, Value(ValueList{Value("a"), Value("b"), Value("c")}));
+}
+
+TEST_F(FuncTest, UnboundNamesReportTheirErrorText) {
+  const ExecResult var = Run(Fn("f", {"a"}, {Return(V("a"))}), {Value("x")});
+  ASSERT_FALSE(var.ok());
+  EXPECT_EQ(var.status.message(), "unbound variable: a");
+  const ExecResult input = Run(Fn("f", {}, {Let("b", C(Value("x"))), Return(In("b"))}), {});
+  ASSERT_FALSE(input.ok());
+  EXPECT_EQ(input.status.message(), "unknown input: b");
+}
+
+TEST_F(FuncTest, TakeClampsItsCount) {
+  store_.Seed("l", Value(ValueList{Value("a"), Value("b"), Value("c")}));
+  const auto take = [this](int64_t n) {
+    return Run(Fn("f", {}, {Read("l", C("l")), Return(Take(V("l"), C(n)))}), {}).return_value;
+  };
+  const Value all(ValueList{Value("a"), Value("b"), Value("c")});
+  EXPECT_EQ(take(3), all);
+  EXPECT_EQ(take(10), all);
+  EXPECT_EQ(take(2), Value(ValueList{Value("a"), Value("b")}));
+  EXPECT_EQ(take(0), Value(ValueList{}));
+  EXPECT_EQ(take(-4), Value(ValueList{}));
+}
+
 TEST_F(FuncTest, FunctionToStringRoundtripsShape) {
   const FunctionDef fn = Fn("pretty", {"a"}, {
       Compute(Millis(5)),

@@ -67,6 +67,25 @@ TEST_F(LviServerTest, ReadOnlyValidationSuccessReleasesLocksImmediately) {
   EXPECT_TRUE(server_->idle());
 }
 
+// A deadline that passes while the request waits for its lock sheds it at
+// the validation stage. That counter's name is built at run time
+// ("shed_" + stage), and the scope's name memo still counts it.
+TEST_F(LviServerTest, DeadlinePassedInLockWaitCountsDynamicShedName) {
+  store_.Seed("k", Value("v"));  // Version 1.
+  locks_.AcquireAll(999, {"k"}, {LockMode::kWrite}, [] {});
+  LviRequest request = MakeRequest("reg_get", {Value("k")}, {{"k", 1, LockMode::kRead}});
+  request.deadline = sim_.Now() + Millis(100);
+  std::optional<LviResponse> response;
+  server_->HandleLviRequest(std::move(request), [&](LviResponse r) { response = std::move(r); });
+  sim_.Schedule(Millis(200), [this] { locks_.ReleaseAll(999); });
+  sim_.Run();
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(response->status, ResponseStatus::kShed);
+  EXPECT_EQ(server_->counters().Get("shed_validation"), 1u);
+  EXPECT_EQ(server_->counters().Get("shed_total"), 1u);
+  EXPECT_EQ(sim_.metrics().CounterValue(server_->counters().prefix() + ".shed_validation"), 1u);
+}
+
 TEST_F(LviServerTest, ValidationFailureRunsBackupAndRepairs) {
   store_.Seed("k", Value("fresh"));  // Version 1; cache claims version 0.
   std::optional<LviResponse> response;

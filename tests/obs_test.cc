@@ -114,6 +114,66 @@ TEST(MetricsScopeTest, BehavesLikeTheLegacyCounters) {
   EXPECT_DOUBLE_EQ(empty.RatioOf("x", "y"), 0.0);
 }
 
+// Copies of a scope share its name memo and resolve to the registry's one
+// instrument per name, whichever copy resolved the name first.
+TEST(MetricsScopeTest, CopiesBumpTheSameCounter) {
+  MetricsRegistry reg;
+  MetricsScope scope(&reg, "runtime.CA");
+  const MetricsScope early_copy = scope;
+  scope.Increment("validated_speculative");
+  MetricsScope late_copy = scope;
+  late_copy.Increment("validated_speculative", 2);
+  MetricsScope(early_copy).Increment("validated_speculative");
+  EXPECT_EQ(reg.CounterValue("runtime.CA.validated_speculative"), 4u);
+  EXPECT_EQ(scope.counter("validated_speculative"), late_copy.counter("validated_speculative"));
+  EXPECT_EQ(scope.Get("validated_speculative"), 4u);
+  // A separately constructed scope on the same prefix shares the instrument
+  // too (its memo is its own, the registry's counter is not).
+  MetricsScope(&reg, "runtime.CA").Increment("validated_speculative");
+  EXPECT_EQ(early_copy.Get("validated_speculative"), 5u);
+}
+
+// Instruments are still created on first use: a name the scope has never
+// incremented appears in no snapshot, and reading it creates nothing.
+TEST(MetricsScopeTest, NeverIncrementedNamesStayInvisible) {
+  MetricsRegistry reg;
+  MetricsScope scope(&reg, "runtime.CA");
+  const MetricsScope copy = scope;
+  EXPECT_EQ(copy.Get("session_requests"), 0u);
+  EXPECT_EQ(scope.RatioOf("session_requests", "session_stale_upgrade"), 0.0);
+  EXPECT_EQ(reg.SnapshotJson().find("session_"), std::string::npos);
+  EXPECT_TRUE(reg.CountersWithPrefix("runtime.CA.").empty());
+  scope.Increment("replies");
+  EXPECT_EQ(reg.SnapshotJson().find("session_"), std::string::npos);
+  const auto counters = reg.CountersWithPrefix("runtime.CA.");
+  ASSERT_EQ(counters.size(), 1u);
+  EXPECT_EQ(counters.at("replies"), 1u);
+}
+
+// Names built at run time (the LVI server's "shed_" + stage) count under
+// their full text, each in its own counter.
+TEST(MetricsScopeTest, DynamicNamesCount) {
+  MetricsRegistry reg;
+  MetricsScope scope(&reg, "lvi_server");
+  for (const char* stage : {"validation", "admission", "validation"}) {
+    scope.Increment(std::string("shed_") + stage);
+  }
+  EXPECT_EQ(scope.Get("shed_validation"), 2u);
+  EXPECT_EQ(scope.Get("shed_admission"), 1u);
+  EXPECT_EQ(reg.CounterValue("lvi_server.shed_validation"), 2u);
+}
+
+// Gauges resolve through the same memo: one instrument per name.
+TEST(MetricsScopeTest, GaugeHandlesAreStableAcrossCopies) {
+  MetricsRegistry reg;
+  MetricsScope scope(&reg, "lvi_server");
+  scope.gauge("queue_depth")->Set(3);
+  const MetricsScope copy = scope;
+  copy.gauge("queue_depth")->Add(2);
+  EXPECT_EQ(scope.gauge("queue_depth"), copy.gauge("queue_depth"));
+  EXPECT_EQ(reg.GaugeValue("lvi_server.queue_depth"), 5);
+}
+
 TEST(LatencyHistogramTest, ExactStatsAndPercentiles) {
   MetricsRegistry reg;
   LatencyHistogram* h = reg.GetHistogram("runtime.CA.e2e_latency");

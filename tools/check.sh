@@ -47,7 +47,9 @@
 # (CHECK_MICRO_EVENTS_FLOOR, default 25M/s — the pre-timing-wheel core did
 # ~11M/s, so the floor fails on a regression to the old allocation-heavy
 # path while leaving slack for slow CI machines) and schema-checks the
-# exported "micro" section of BENCH_radical.json.
+# exported "micro" section of BENCH_radical.json. It then runs every
+# google-benchmark in micro_core once at a short minimum time as a smoke
+# test: a benchmark that crashes or aborts fails the mode.
 #
 # CHECK_OVERLOAD=1 tools/check.sh  additionally runs the open-loop overload
 # sweep (bench/throughput_server in smoke mode, which includes the
@@ -161,4 +163,8 @@ if [ "${CHECK_MICRO:-0}" = "1" ]; then
     "$BUILD_DIR/bench/micro_core" --benchmark_filter='^$' > "$MICRO_DIR/micro_core.out"
   cat "$MICRO_DIR/micro_core.out"
   "$BUILD_DIR/tools/bench_json_check" "$MICRO_DIR/BENCH_radical.json"
+  echo "== micro: every google-benchmark once (smoke) =="
+  RADICAL_BENCH_SMOKE=1 RADICAL_BENCH_JSON="$MICRO_DIR/smoke_BENCH_radical.json" \
+    "$BUILD_DIR/bench/micro_core" --benchmark_min_time=0.01 > "$MICRO_DIR/micro_core_smoke.out"
+  cat "$MICRO_DIR/micro_core_smoke.out"
 fi
