@@ -92,9 +92,7 @@ ExperimentResult RunApp(const AppSpec& app, DeployKind kind, const RunOptions& r
   if (radical != nullptr) {
     result.validation_success_rate = radical->server().ValidationSuccessRate();
     result.reexecutions = radical->server().reexecutions();
-    if (radical->local_locks() != nullptr) {
-      result.lock_waits = radical->local_locks()->table().waits();
-    } else if (radical->sharded_locks() != nullptr) {
+    if (radical->sharded_locks() != nullptr) {
       result.lock_waits = radical->sharded_locks()->total_waits();
     }
     result.lvi_requests = radical->server().counters().Get("lvi_requests");
@@ -297,12 +295,11 @@ std::string BenchReport::ToJson() const {
 }
 
 std::string BenchReport::Write() const {
-  const char* env = std::getenv("RADICAL_BENCH_JSON");
-  std::string path = env != nullptr ? env : "BENCH_radical.json";
-  if (path.empty()) {
+  const char* path = std::getenv("RADICAL_BENCH_JSON");
+  if (path == nullptr || *path == '\0') {
     return "";
   }
-  std::FILE* f = std::fopen(path.c_str(), "w");
+  std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     return "";
   }

@@ -139,9 +139,9 @@ struct MicroResult {
 
 // Machine-readable benchmark record. Each bench constructs one report, Add()s
 // an entry per (app, deployment) experiment it ran, and calls Write() at the
-// end. The file destination is the RADICAL_BENCH_JSON environment variable
-// when set, otherwise "BENCH_radical.json" in the working directory; setting
-// RADICAL_BENCH_JSON to the empty string disables the export.
+// end. The file destination is the RADICAL_BENCH_JSON environment variable;
+// unset or empty, nothing is written (so a bench run from the repository
+// root never replaces the committed report).
 class BenchReport {
  public:
   explicit BenchReport(std::string bench_name);
@@ -154,7 +154,8 @@ class BenchReport {
   std::string ToJson() const;
 
   // Writes ToJson() to the destination described above. Returns the path
-  // written, or an empty string when disabled or on I/O failure.
+  // written, or an empty string when no destination is set or on I/O
+  // failure.
   std::string Write() const;
 
  private:

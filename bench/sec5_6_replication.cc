@@ -68,7 +68,7 @@ double MeasureServerSide(int num_locks, bool replicated) {
   body.push_back(Return(In("id")));
   registry.Register(Fn("writer", {"id"}, std::move(body)));
 
-  std::unique_ptr<LocalLockService> local;
+  std::unique_ptr<ShardedLockService> local;
   std::unique_ptr<ReplicatedLockService> repl;
   LockService* locks = nullptr;
   if (replicated) {
@@ -77,7 +77,7 @@ double MeasureServerSide(int num_locks, bool replicated) {
     sim.RunFor(Millis(200));
     locks = repl.get();
   } else {
-    local = std::make_unique<LocalLockService>(&sim);
+    local = std::make_unique<ShardedLockService>(&sim, 1);
     locks = local.get();
   }
   LviServerOptions options;
@@ -227,7 +227,7 @@ ThroughputPoint MeasureFailover(int groups) {
   Simulator sim(4200 + static_cast<uint64_t>(groups));
   Network net(&sim, LatencyMatrix::PaperDefault());
   RadicalConfig config;
-  config.server.replicated_shards = groups;
+  config.server.shards = groups;
   RadicalDeployment radical(&sim, &net, config, DeploymentRegions(), /*replicated_locks=*/3);
   radical.RegisterFunction(Fn("reg_read", {"k"}, {
       Read("v", In("k")),

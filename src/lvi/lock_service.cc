@@ -7,13 +7,6 @@
 
 namespace radical {
 
-void LocalLockService::AcquireAll(ExecutionId exec, std::vector<Key> keys,
-                                  std::vector<LockMode> modes, InlineTask granted) {
-  table_.AcquireAll(exec, std::move(keys), std::move(modes), std::move(granted));
-}
-
-void LocalLockService::ReleaseAll(ExecutionId exec) { table_.ReleaseAll(exec); }
-
 ShardedLockService::ShardedLockService(Simulator* sim, int shards) : router_(shards) {
   assert(shards >= 1);
   tables_.reserve(static_cast<size_t>(shards));
@@ -25,6 +18,14 @@ ShardedLockService::ShardedLockService(Simulator* sim, int shards) : router_(sha
 void ShardedLockService::AcquireAll(ExecutionId exec, std::vector<Key> keys,
                                     std::vector<LockMode> modes, InlineTask granted) {
   assert(std::is_sorted(keys.begin(), keys.end()) && "keys must be sorted");
+  // An acquisition within one shard (with one shard: every acquisition, and
+  // an empty key set) goes straight to that shard's table.
+  const int home = keys.empty() ? 0 : router_.ShardOf(keys[0]);
+  if (std::all_of(keys.begin(), keys.end(),
+                  [this, home](const Key& key) { return router_.ShardOf(key) == home; })) {
+    table(home).AcquireAll(exec, std::move(keys), std::move(modes), std::move(granted));
+    return;
+  }
   // Partition the sorted key set into per-shard groups, preserving key order
   // within each group: the acquisition order is (shard, key) — one total
   // order followed by every acquirer, hence deadlock-free.

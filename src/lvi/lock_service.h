@@ -1,26 +1,27 @@
 // LockService: where the LVI server keeps its locks.
 //
-// Three implementations:
+// Two implementations:
 //
-//  - LocalLockService (§4): the singleton server's in-memory table persisted
-//    to an EBS volume. Acquisition costs no extra round trips.
-//  - ShardedLockService: N independent LockTables, one per key-range shard
-//    (ShardRouter). Acquisition partitions the request's sorted key set into
-//    per-shard groups and takes the groups strictly in ascending shard
-//    index; within a shard, keys are taken in lexicographic order. Every
-//    acquirer therefore follows the same total order (shard, key), so the
-//    resource-ordering deadlock-freedom argument of the single table carries
-//    over unchanged. Group hand-off rides on the tables' zero-delay grant
-//    events, so sharding adds no virtual time to an uncontended acquire.
+//  - ShardedLockService (§4): the singleton server's in-memory table (the
+//    paper persists it to an EBS volume) as N >= 1 LockTables, one per
+//    key-range shard (ShardRouter); one shard is the paper's server. An
+//    acquisition spanning shards takes its per-shard groups strictly in
+//    ascending shard index, keys in lexicographic order within each, so
+//    every acquirer follows one total order (shard, key) and the single
+//    table's resource-ordering deadlock-freedom argument carries over.
+//    Group hand-off rides on the tables' zero-delay grant events, so
+//    sharding adds no virtual time to an uncontended acquire.
 //  - ReplicatedLockService (§5.6): the highly available variant stores locks
 //    in a 3-node etcd (Raft) cluster across availability zones. Each lock
 //    acquisition is one Raft commit (~2.3 ms) and the implementation
 //    acquires locks in series, so an LVI request with L locks pays ~2.3·L ms
 //    extra — the constant the paper reports. With `shards` > 1 it runs one
 //    independent Raft group per key-range shard (multi-Raft): requests are
-//    re-ordered into the same (shard, key) total order the sharded in-memory
+//    re-ordered into the same (shard, key) total order the in-memory
 //    service uses, so deadlock freedom carries over, while unrelated shards
 //    commit in parallel.
+//
+// Both keep their per-key lock state in LockCore (src/lvi/lock_core.h).
 
 #ifndef RADICAL_SRC_LVI_LOCK_SERVICE_H_
 #define RADICAL_SRC_LVI_LOCK_SERVICE_H_
@@ -52,22 +53,7 @@ class LockService {
   virtual void ReleaseAll(ExecutionId exec) = 0;
 };
 
-// In-memory singleton-server lock table.
-class LocalLockService : public LockService {
- public:
-  explicit LocalLockService(Simulator* sim) : table_(sim) {}
-
-  void AcquireAll(ExecutionId exec, std::vector<Key> keys, std::vector<LockMode> modes,
-                  InlineTask granted) override;
-  void ReleaseAll(ExecutionId exec) override;
-
-  LockTable& table() { return table_; }
-
- private:
-  LockTable table_;
-};
-
-// N independent per-shard lock tables behind one LockService interface.
+// N >= 1 independent per-shard lock tables behind one LockService interface.
 class ShardedLockService : public LockService {
  public:
   ShardedLockService(Simulator* sim, int shards);
@@ -78,7 +64,7 @@ class ShardedLockService : public LockService {
 
   int shards() const { return router_.shards(); }
   const ShardRouter& router() const { return router_; }
-  LockTable& table(int shard) { return *tables_[static_cast<size_t>(shard)]; }
+  LockTable& table(int shard = 0) { return *tables_[static_cast<size_t>(shard)]; }
 
   // Aggregate statistics across shards.
   uint64_t total_acquisitions() const;

@@ -32,33 +32,25 @@ void LockTable::AcquireAll(ExecutionId exec, std::vector<Key> keys, std::vector<
 
 bool LockTable::TakeAvailable(ExecutionId exec, const std::vector<Key>& keys,
                               const std::vector<LockMode>& modes, size_t* next) {
-  while (*next < keys.size()) {
-    const Key& key = keys[*next];
-    const LockMode mode = modes[*next];
-    KeyLock& lock = locks_[key];
-    // Already held (write subsumes read in the rw-set, so re-requests only
-    // happen if a caller passes duplicate keys; treat as held).
-    if (lock.writer == exec || lock.readers.count(exec) > 0) {
-      ++*next;
-      continue;
-    }
-    const bool grantable = mode == LockMode::kWrite
-                               ? lock.Free() && lock.queue.empty()
-                               : lock.writer == 0 && lock.queue.empty();
-    if (!grantable) {
+  // Keys already held count as taken (write subsumes read in the rw-set, so
+  // re-requests only happen if a caller passes duplicate keys).
+  for (; *next < keys.size(); ++*next) {
+    if (core_.Acquire(exec, modes[*next], keys[*next]) == LockCore::AcquireResult::kQueued) {
       ++waits_;
-      lock.queue.push_back(Waiter{exec, mode});
-      return false;  // Parked; DrainQueue resumes us on release.
+      return false;  // Parked; OnGranted resumes us.
     }
-    Hold(exec, mode, key, lock);
-    ++*next;
   }
   return true;
 }
 
-void LockTable::Advance(PendingMap::iterator it) {
+void LockTable::OnGranted(ExecutionId exec) {
+  const auto it = pending_.find(exec);
+  if (it == pending_.end()) {
+    return;
+  }
   Acquisition& acq = it->second;
-  if (TakeAvailable(it->first, acq.keys, acq.modes, &acq.next)) {
+  ++acq.next;
+  if (TakeAvailable(exec, acq.keys, acq.modes, &acq.next)) {
     InlineTask granted = std::move(acq.granted);
     pending_.erase(it);
     Grant(std::move(granted));
@@ -72,110 +64,11 @@ void LockTable::Grant(InlineTask&& granted) {
   }
 }
 
-void LockTable::Hold(ExecutionId exec, LockMode mode, const Key& key, KeyLock& lock) {
-  if (mode == LockMode::kWrite) {
-    assert(lock.Free());
-    lock.writer = exec;
-  } else {
-    assert(lock.writer == 0);
-    lock.readers.insert(exec);
-  }
-  held_[exec].insert(key);
-}
-
 void LockTable::ReleaseAll(ExecutionId exec) {
   // Cancel a parked acquisition (the LVI protocol never releases while still
-  // acquiring, but failure handling may). It waits on exactly one key, the
-  // one at `next`; compatible waiters queued behind it may now go ahead, so
-  // that key drains.
-  const auto pit = pending_.find(exec);
-  if (pit != pending_.end()) {
-    Acquisition& acq = pit->second;
-    assert(acq.next < acq.keys.size());
-    const Key parked_on = std::move(acq.keys[acq.next]);
-    pending_.erase(pit);
-    const auto lit = locks_.find(parked_on);
-    if (lit != locks_.end()) {
-      auto& queue = lit->second.queue;
-      queue.erase(std::remove_if(queue.begin(), queue.end(),
-                                 [exec](const Waiter& w) { return w.exec == exec; }),
-                  queue.end());
-      DrainQueue(parked_on);
-    }
-  }
-  const auto hit = held_.find(exec);
-  if (hit == held_.end()) {
-    return;
-  }
-  const std::set<Key> keys = std::move(hit->second);
-  held_.erase(hit);
-  for (const Key& key : keys) {
-    const auto lit = locks_.find(key);
-    if (lit == locks_.end()) {
-      continue;
-    }
-    KeyLock& lock = lit->second;
-    if (lock.writer == exec) {
-      lock.writer = 0;
-    }
-    lock.readers.erase(exec);
-    DrainQueue(key);
-  }
-}
-
-void LockTable::DrainQueue(const Key& key) {
-  // Waiters resumed here continue their own sequential acquisitions; the
-  // loop re-finds the lock each round because Advance may insert into
-  // locks_ (a rehash invalidates iterators).
-  for (;;) {
-    const auto lit = locks_.find(key);
-    if (lit == locks_.end()) {
-      return;
-    }
-    KeyLock& lock = lit->second;
-    if (lock.queue.empty()) {
-      if (lock.Free()) {
-        locks_.erase(lit);
-      }
-      return;
-    }
-    const Waiter head = lock.queue.front();
-    const bool writer = head.mode == LockMode::kWrite;
-    if (writer ? !lock.Free() : lock.writer != 0) {
-      return;
-    }
-    lock.queue.erase(lock.queue.begin());
-    Hold(head.exec, head.mode, key, lock);
-    const auto pit = pending_.find(head.exec);
-    if (pit != pending_.end()) {
-      ++pit->second.next;
-      Advance(pit);
-    }
-    if (writer) {
-      return;  // A granted writer excludes everything behind it.
-    }
-    // Consecutive readers are granted together: loop.
-  }
-}
-
-bool LockTable::IsWriteHeldBy(const Key& key, ExecutionId exec) const {
-  const auto it = locks_.find(key);
-  return it != locks_.end() && it->second.writer == exec;
-}
-
-bool LockTable::IsReadHeldBy(const Key& key, ExecutionId exec) const {
-  const auto it = locks_.find(key);
-  return it != locks_.end() && it->second.readers.count(exec) > 0;
-}
-
-size_t LockTable::WaitingCount(const Key& key) const {
-  const auto it = locks_.find(key);
-  return it == locks_.end() ? 0 : it->second.queue.size();
-}
-
-size_t LockTable::HeldKeyCount(ExecutionId exec) const {
-  const auto it = held_.find(exec);
-  return it == held_.end() ? 0 : it->second.size();
+  // acquiring, but failure handling may); the core drops its queued wait.
+  pending_.erase(exec);
+  core_.Release(exec, [this](ExecutionId granted, const Key&) { OnGranted(granted); });
 }
 
 }  // namespace radical

@@ -4,30 +4,25 @@
 // set (§3.6). Locks are acquired in lexicographic key order, strictly one
 // after another (resource ordering — provably deadlock-free), with FIFO wait
 // queues per key: readers share, writers exclude, and a new reader queues
-// behind a waiting writer so writers cannot starve.
+// behind a waiting writer so writers cannot starve. The per-key semantics
+// live in LockCore (src/lvi/lock_core.h), which the replicated table of §5.6
+// shares; this class adds the sequential multi-key acquisition.
 //
 // The table is in-memory (the paper persists it to disk for durability; the
 // replicated variant in lock_service.h moves it into Raft). Grant
 // continuations are scheduled as zero-delay simulator events, never run
 // re-entrantly inside Acquire/Release.
-//
-// The per-key table is a hash map, but `held_` stays an ordered map of
-// ordered key sets: ReleaseAll frees an execution's keys in key order, and
-// each freed key grants its waiters in turn, so that order fixes which
-// waiting execution is granted (and scheduled) first. Virtual-time outputs
-// depend on it.
 
 #ifndef RADICAL_SRC_LVI_LOCK_TABLE_H_
 #define RADICAL_SRC_LVI_LOCK_TABLE_H_
 
 #include <cstdint>
-#include <map>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
 #include "src/analysis/rw_set.h"
 #include "src/common/inline_task.h"
+#include "src/lvi/lock_core.h"
 #include "src/sim/simulator.h"
 
 namespace radical {
@@ -56,11 +51,15 @@ class LockTable {
   void ReleaseAll(ExecutionId exec);
 
   // --- Introspection ------------------------------------------------------
-  bool IsWriteHeldBy(const Key& key, ExecutionId exec) const;
-  bool IsReadHeldBy(const Key& key, ExecutionId exec) const;
-  size_t WaitingCount(const Key& key) const;
-  size_t HeldKeyCount(ExecutionId exec) const;
-  size_t active_lock_count() const { return locks_.size(); }
+  bool IsWriteHeldBy(const Key& key, ExecutionId exec) const {
+    return core_.IsWriteHeldBy(key, exec);
+  }
+  bool IsReadHeldBy(const Key& key, ExecutionId exec) const {
+    return core_.IsReadHeldBy(key, exec);
+  }
+  size_t WaitingCount(const Key& key) const { return core_.WaitingCount(key); }
+  size_t HeldKeyCount(ExecutionId exec) const { return core_.HeldKeyCount(exec); }
+  size_t active_lock_count() const { return core_.lock_count(); }
 
   // --- Stats ---------------------------------------------------------------
   uint64_t acquisitions() const { return acquisitions_; }
@@ -69,19 +68,6 @@ class LockTable {
   uint64_t reacquire_merges() const { return reacquire_merges_; }
 
  private:
-  struct Waiter {
-    ExecutionId exec;
-    LockMode mode;
-  };
-
-  struct KeyLock {
-    ExecutionId writer = 0;  // 0 = none.
-    std::set<ExecutionId> readers;
-    std::vector<Waiter> queue;  // FIFO: the head is queue.front().
-
-    bool Free() const { return writer == 0 && readers.empty(); }
-  };
-
   // A parked acquisition. Only a contended AcquireAll builds one: an
   // uncontended grant goes straight from the arguments to the grant event.
   struct Acquisition {
@@ -97,18 +83,13 @@ class LockTable {
   // parks `exec` on the first contended one. True once every key is held.
   bool TakeAvailable(ExecutionId exec, const std::vector<Key>& keys,
                      const std::vector<LockMode>& modes, size_t* next);
-  // Continues a parked acquisition; fires its `granted` once it holds all.
-  void Advance(PendingMap::iterator it);
+  // A release granted parked `exec` the key it waited on: continue.
+  void OnGranted(ExecutionId exec);
   // Schedules a completed acquisition's continuation.
   void Grant(InlineTask&& granted);
-  void Hold(ExecutionId exec, LockMode mode, const Key& key, KeyLock& lock);
-  // Grants `key`'s queued waiters while compatible, then drops the lock
-  // entry if nobody holds or awaits it.
-  void DrainQueue(const Key& key);
 
   Simulator* sim_;
-  std::unordered_map<Key, KeyLock> locks_;
-  std::map<ExecutionId, std::set<Key>> held_;
+  LockCore core_;
   PendingMap pending_;  // Acquisitions parked on a contended key.
   uint64_t acquisitions_ = 0;
   uint64_t waits_ = 0;

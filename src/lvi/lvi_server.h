@@ -86,14 +86,10 @@ struct LviServerOptions {
   // Hot-path shard count: lock/intent tables, admission slots and metrics
   // split into this many key-range shards (1 = the paper's singleton). Each
   // shard gets the full serving_capacity_rps — the model for "one server
-  // process per shard".
+  // process per shard". A replicated (§5.6) deployment runs one Raft lock
+  // group per shard (multi-Raft), so the hot path and the lock groups share
+  // one ShardRouter.
   int shards = 1;
-  // Replicated (§5.6) deployments only: number of Raft lock groups —
-  // multi-Raft, one group per key-range shard (the deployment also sets
-  // `shards` to match, so the server's hot path and its lock groups share
-  // one ShardRouter). <= 0 means unset: a single group, the paper's
-  // configuration.
-  int replicated_shards = 0;
   // Admission-window batching: LVI requests on the same home shard that
   // clear their locks within this window validate and write their intents as
   // one group (one BatchVersions + one conditional multi-write round). 0
@@ -141,8 +137,8 @@ class LviServer {
   // failure signal that lets the sender retransmit instead of hanging.
   using AckFn = std::function<void(bool applied)>;
 
-  // All pointers must outlive the server. `locks` is either a
-  // LocalLockService (singleton server, §4) or a ReplicatedLockService
+  // All pointers must outlive the server. `locks` is either an in-memory
+  // ShardedLockService (singleton server, §4) or a ReplicatedLockService
   // (§5.6); pass `replicated=true` with the latter to enable idempotency-key
   // accounting and at-most-once enforcement.
   // `externals` (optional) provides the external services functions may

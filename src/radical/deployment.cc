@@ -29,10 +29,9 @@ RadicalDeployment::RadicalDeployment(Simulator* sim, Network* network, RadicalCo
       interpreter_(&HostRegistry::Standard()),
       registry_(&analyzer_),
       primary_(config_.primary_store) {
-  // CHECK_SHARD_MATRIX / CHECK_REPLICATED support: the environment can force
-  // the server's shard count, batch window and replicated lock-group count
-  // when the config leaves them at the defaults, so the whole tier-1 suite
-  // exercises those hot paths unchanged (tools/check.sh).
+  // CHECK_SHARD_MATRIX support: the environment can force the shard count
+  // and the batch window when the config leaves them at the defaults, so the
+  // whole tier-1 suite exercises those hot paths unchanged (tools/check.sh).
   if (config_.server.shards <= 1) {
     if (const char* env = std::getenv("RADICAL_SHARDS")) {
       config_.server.shards = std::max(1, std::atoi(env));
@@ -46,20 +45,9 @@ RadicalDeployment::RadicalDeployment(Simulator* sim, Network* network, RadicalCo
   if (const char* env = std::getenv("RADICAL_FORCE_SESSIONS")) {
     force_sessions_ = std::atoi(env) != 0;
   }
-  if (replicated_locks > 0) {
-    // Multi-Raft: one Raft lock group per key-range shard. The server's
-    // table shard count follows the group count so the hot path and the
-    // lock groups share one ShardRouter partition (replicated_shards unset
-    // keeps the paper's single-group, single-shard configuration).
-    if (config_.server.replicated_shards <= 0) {
-      if (const char* env = std::getenv("RADICAL_REPLICATED_SHARDS")) {
-        config_.server.replicated_shards = std::max(1, std::atoi(env));
-      }
-    }
-    config_.server.shards = std::max(1, config_.server.replicated_shards);
-  }
   LockService* locks = nullptr;
   if (replicated_locks > 0) {
+    // Multi-Raft: one Raft lock group per shard.
     const int groups = config_.server.shards;
     RaftOptions raft_options;
     // Multi-group deployments harden elections with pre-vote (a restarting
@@ -72,12 +60,9 @@ RadicalDeployment::RadicalDeployment(Simulator* sim, Network* network, RadicalCo
     assert(elected && "replicated lock service failed to elect a leader");
     (void)elected;
     locks = replicated_locks_.get();
-  } else if (config_.server.shards > 1) {
+  } else {
     sharded_locks_ = std::make_unique<ShardedLockService>(sim, config_.server.shards);
     locks = sharded_locks_.get();
-  } else {
-    local_locks_ = std::make_unique<LocalLockService>(sim);
-    locks = local_locks_.get();
   }
   server_ = std::make_unique<LviServer>(sim, &primary_, &registry_, &interpreter_, locks,
                                         ServerOptionsFor(config_),
@@ -183,7 +168,7 @@ PrimaryBaselineDeployment::PrimaryBaselineDeployment(Simulator* sim, Network* ne
       interpreter_(&HostRegistry::Standard()),
       registry_(&analyzer_),
       primary_(config_.primary_store) {
-  locks_ = std::make_unique<LocalLockService>(sim);
+  locks_ = std::make_unique<ShardedLockService>(sim, 1);
   server_ = std::make_unique<LviServer>(sim, &primary_, &registry_, &interpreter_, locks_.get(),
                                         ServerOptionsFor(config_), /*replicated=*/false,
                                         &externals_);

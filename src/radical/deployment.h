@@ -48,17 +48,17 @@ class AppService {
 class RadicalDeployment : public AppService {
  public:
   // `replicated_locks > 0` switches the LVI server to the §5.6 configuration
-  // with that many Raft nodes holding the locks. By default the locks live
-  // in one Raft group; `config.server.replicated_shards > 1` runs that many
-  // independent groups (multi-Raft), one per key-range shard, and shards the
-  // server's hot path to match.
+  // with that many Raft nodes holding the locks. `config.server.shards` is
+  // the one partition of the server's hot path and of its lock store: one
+  // in-memory lock table per shard, or with `replicated_locks > 0` one
+  // independent Raft group per shard (multi-Raft). One shard is the paper's
+  // configuration.
   //
-  // Environment overrides RADICAL_SHARDS / RADICAL_BATCH_WINDOW_US /
-  // RADICAL_REPLICATED_SHARDS set the server's shard count, admission batch
-  // window and replicated lock-group count when the config leaves them at
-  // their defaults — tools/check.sh (CHECK_SHARD_MATRIX=1, CHECK_REPLICATED=1)
-  // uses this to run the whole test suite against those paths without
-  // touching any call site.
+  // Environment overrides RADICAL_SHARDS / RADICAL_BATCH_WINDOW_US set the
+  // shard count and the admission batch window when the config leaves them
+  // at their defaults — tools/check.sh (CHECK_SHARD_MATRIX=1) uses this to
+  // run the whole test suite, replicated deployments included, against
+  // those paths without touching any call site.
   RadicalDeployment(Simulator* sim, Network* network, RadicalConfig config,
                     std::vector<Region> regions, int replicated_locks = 0);
   ~RadicalDeployment() override;
@@ -103,8 +103,12 @@ class RadicalDeployment : public AppService {
   FunctionRegistry& registry() { return registry_; }
   ExternalServiceRegistry& externals() override { return externals_; }
   const RadicalConfig& config() const { return config_; }
-  LocalLockService* local_locks() { return local_locks_.get(); }
+  // The in-memory lock service (nullptr when replicated); local_locks() only
+  // when it has exactly one shard.
   ShardedLockService* sharded_locks() { return sharded_locks_.get(); }
+  ShardedLockService* local_locks() {
+    return sharded_locks_ && sharded_locks_->shards() == 1 ? sharded_locks_.get() : nullptr;
+  }
   ReplicatedLockService* replicated_locks() { return replicated_locks_.get(); }
 
  private:
@@ -115,7 +119,6 @@ class RadicalDeployment : public AppService {
   FunctionRegistry registry_;
   ExternalServiceRegistry externals_;
   VersionedStore primary_;
-  std::unique_ptr<LocalLockService> local_locks_;
   std::unique_ptr<ShardedLockService> sharded_locks_;
   std::unique_ptr<ReplicatedLockService> replicated_locks_;
   std::unique_ptr<LviServer> server_;
@@ -155,7 +158,7 @@ class PrimaryBaselineDeployment : public AppService {
   FunctionRegistry registry_;
   ExternalServiceRegistry externals_;
   VersionedStore primary_;
-  std::unique_ptr<LocalLockService> locks_;
+  std::unique_ptr<ShardedLockService> locks_;
   std::unique_ptr<LviServer> server_;
   // Reusable codec scratch for measuring request/response wire sizes.
   WireScratch wire_scratch_;

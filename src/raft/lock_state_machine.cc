@@ -1,7 +1,6 @@
 #include "src/raft/lock_state_machine.h"
 
 #include <cstdint>
-#include <tuple>
 #include <utility>
 
 namespace radical {
@@ -139,8 +138,8 @@ std::string LockStateMachine::EncodeSnapshot() const {
   std::string out;
   out.push_back(static_cast<char>(kSnapshotTag));
   AppendVarint(&out, last_applied_);
-  AppendVarint(&out, locks_.size());
-  for (const auto& [key, lock] : locks_) {
+  AppendVarint(&out, core_.lock_count());
+  core_.ForEachLock([&out](const Key& key, const LockCore::KeyLock& lock) {
     AppendKey(&out, key);
     AppendVarint(&out, lock.writer);
     AppendVarint(&out, lock.readers.size());
@@ -148,17 +147,16 @@ std::string LockStateMachine::EncodeSnapshot() const {
       AppendVarint(&out, reader);
     }
     AppendVarint(&out, lock.queue.size());
-    for (const Waiter& waiter : lock.queue) {
+    for (const LockCore::Waiter& waiter : lock.queue) {
       out.push_back(static_cast<char>(ModeByte(waiter.mode)));
       AppendVarint(&out, waiter.exec);
     }
-  }
+  });
   return out;
 }
 
 void LockStateMachine::RestoreSnapshot(const std::string& data) {
-  locks_.clear();
-  held_.clear();
+  core_.Clear();
   CommandReader in(data);
   if (in.Byte() != kSnapshotTag) {
     return;  // Unknown format: start empty (same as a fresh machine).
@@ -168,26 +166,21 @@ void LockStateMachine::RestoreSnapshot(const std::string& data) {
   // Every lock consumes input, so a corrupt count ends at the first failure.
   for (uint64_t i = 0; i < num_locks && in.ok(); ++i) {
     const std::string_view key = in.Key();
-    KeyLock& lock = locks_[Key(key)];
+    LockCore::KeyLock lock;
     lock.writer = in.Varint();
-    if (lock.writer != 0) {
-      held_[lock.writer].emplace(key);
-    }
     const uint64_t num_readers = in.Varint();
     for (uint64_t r = 0; r < num_readers && in.ok(); ++r) {
-      const ExecutionId reader = in.Varint();
-      lock.readers.insert(reader);
-      held_[reader].emplace(key);
+      lock.readers.insert(in.Varint());
     }
     const uint64_t queue_size = in.Varint();
     for (uint64_t q = 0; q < queue_size && in.ok(); ++q) {
       const LockMode mode = in.Mode();
-      lock.queue.push_back(Waiter{in.Varint(), mode});
+      lock.queue.push_back(LockCore::Waiter{in.Varint(), mode});
     }
+    core_.Restore(Key(key), std::move(lock));
   }
   if (!in.AtEnd()) {
-    locks_.clear();  // Truncated or corrupt: start empty rather than half-restored.
-    held_.clear();
+    core_.Clear();  // Truncated or corrupt: start empty rather than half-restored.
     return;
   }
   last_applied_ = last_applied;
@@ -200,7 +193,7 @@ void LockStateMachine::Apply(LogIndex index, const std::string& command) {
   const ExecutionId exec = in.Varint();
   if (op == kOpRelease) {
     if (in.AtEnd() && exec != 0) {
-      ApplyRelease(exec);
+      core_.Release(exec, grant_listener_);
     }
     return;
   }
@@ -226,134 +219,14 @@ void LockStateMachine::Apply(LogIndex index, const std::string& command) {
   CommandReader key_reader(num_keys > 1 ? std::string_view(batch_copy) : keys);
   for (uint64_t i = 0; i < num_keys; ++i) {
     const LockMode mode = key_reader.Mode();
-    const std::string_view key = key_reader.Key();
-    if (!key.empty()) {
-      ApplyAcquire(exec, mode, key);
+    // The listener gets its own copy of the key: it may re-enter and free
+    // the lock entry that holds the table's copy.
+    const Key key(key_reader.Key());
+    if (!key.empty() && core_.Acquire(exec, mode, key) != LockCore::AcquireResult::kQueued &&
+        grant_listener_) {
+      grant_listener_(exec, key);  // Granted, or already held: re-notify; listeners dedupe.
     }
   }
-}
-
-void LockStateMachine::Grant(ExecutionId exec, LockMode mode, const Key& key, KeyLock& lock) {
-  if (mode == LockMode::kWrite) {
-    lock.writer = exec;
-  } else {
-    lock.readers.insert(exec);
-  }
-  held_[exec].insert(key);
-  if (grant_listener_) {
-    grant_listener_(exec, key);
-  }
-}
-
-void LockStateMachine::ApplyAcquire(ExecutionId exec, LockMode mode, std::string_view key_view) {
-  auto it = locks_.lower_bound(key_view);
-  if (it == locks_.end() || it->first != key_view) {
-    it = locks_.emplace_hint(it, std::piecewise_construct, std::forward_as_tuple(key_view),
-                             std::forward_as_tuple());
-  }
-  const Key& key = it->first;
-  KeyLock& lock = it->second;
-  // Idempotence: already held by this execution.
-  if (lock.writer == exec || lock.readers.count(exec) > 0) {
-    if (grant_listener_) {
-      grant_listener_(exec, key);  // Re-notify; listeners dedupe.
-    }
-    return;
-  }
-  const bool grantable =
-      mode == LockMode::kWrite
-          ? lock.Free() && lock.queue.empty()
-          // Readers share, but queue behind a waiting writer (fairness).
-          : lock.writer == 0 && lock.queue.empty();
-  if (grantable) {
-    Grant(exec, mode, key, lock);
-    return;
-  }
-  // Duplicate queued request is idempotent.
-  for (const Waiter& w : lock.queue) {
-    if (w.exec == exec) {
-      return;
-    }
-  }
-  lock.queue.push_back(Waiter{exec, mode});
-}
-
-void LockStateMachine::ApplyRelease(ExecutionId exec) {
-  const auto it = held_.find(exec);
-  if (it == held_.end()) {
-    return;
-  }
-  const std::set<Key> keys = std::move(it->second);
-  held_.erase(it);
-  for (const Key& key : keys) {
-    auto lit = locks_.find(key);
-    if (lit == locks_.end()) {
-      continue;
-    }
-    KeyLock& lock = lit->second;
-    if (lock.writer == exec) {
-      lock.writer = 0;
-    }
-    lock.readers.erase(exec);
-    DrainQueue(key, lock);
-    if (lock.Free() && lock.queue.empty()) {
-      locks_.erase(lit);
-    }
-  }
-}
-
-void LockStateMachine::DrainQueue(const Key& key, KeyLock& lock) {
-  while (!lock.queue.empty()) {
-    const Waiter head = lock.queue.front();
-    if (head.mode == LockMode::kWrite) {
-      if (!lock.Free()) {
-        return;
-      }
-      lock.queue.erase(lock.queue.begin());
-      Grant(head.exec, head.mode, key, lock);
-      return;  // A writer excludes everything behind it.
-    }
-    // Reader: joins as long as no writer holds the lock.
-    if (lock.writer != 0) {
-      return;
-    }
-    lock.queue.erase(lock.queue.begin());
-    Grant(head.exec, head.mode, key, lock);
-    // Continue: consecutive readers are granted together.
-  }
-}
-
-bool LockStateMachine::IsWriteHeldBy(const Key& key, ExecutionId exec) const {
-  const auto it = locks_.find(key);
-  return it != locks_.end() && it->second.writer == exec;
-}
-
-bool LockStateMachine::IsWriteLocked(const Key& key) const {
-  const auto it = locks_.find(key);
-  return it != locks_.end() && it->second.writer != 0;
-}
-
-bool LockStateMachine::IsReadHeldBy(const Key& key, ExecutionId exec) const {
-  const auto it = locks_.find(key);
-  return it != locks_.end() && it->second.readers.count(exec) > 0;
-}
-
-size_t LockStateMachine::WaitingCount(const Key& key) const {
-  const auto it = locks_.find(key);
-  return it == locks_.end() ? 0 : it->second.queue.size();
-}
-
-size_t LockStateMachine::HeldKeyCount(ExecutionId exec) const {
-  const auto it = held_.find(exec);
-  return it == held_.end() ? 0 : it->second.size();
-}
-
-size_t LockStateMachine::TotalHeldKeys() const {
-  size_t held = 0;
-  for (const auto& [key, lock] : locks_) {
-    if (!lock.Free()) ++held;
-  }
-  return held;
 }
 
 }  // namespace radical

@@ -7,9 +7,9 @@
 // stream (grants may happen at apply time, or later when a release unblocks
 // a queued waiter).
 //
-// Commands are single-key ("our implementation of the replicated server
-// acquires all locks in series", §5.6); the multi-key in-memory table of the
-// singleton server lives in src/lvi/lock_table.h.
+// An acquire command carries one key (§5.6 acquires "in series") or, batched,
+// a sorted run of keys applied atomically. The lock semantics are LockCore's
+// (src/lvi/lock_core.h), shared with the in-memory LockTable.
 //
 // Commands and snapshots use a compact, bounds-checked binary format (an op
 // byte, varint integers, length-prefixed keys; docs/raft.md "Lock command
@@ -20,14 +20,13 @@
 #define RADICAL_SRC_RAFT_LOCK_STATE_MACHINE_H_
 
 #include <functional>
-#include <map>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "src/analysis/rw_set.h"
 #include "src/common/types.h"
+#include "src/lvi/lock_core.h"
 #include "src/raft/log.h"
 
 namespace radical {
@@ -41,7 +40,8 @@ class LockStateMachine {
   void set_grant_listener(GrantListener listener) { grant_listener_ = std::move(listener); }
 
   // Applies a committed command. Unknown or malformed commands are ignored
-  // (forward compatibility); duplicate acquires are idempotent.
+  // (forward compatibility); duplicate acquires are idempotent. A release
+  // also cancels the execution's queued waits.
   void Apply(LogIndex index, const std::string& command);
 
   // --- Command encoding -------------------------------------------------
@@ -62,41 +62,23 @@ class LockStateMachine {
   void RestoreSnapshot(const std::string& data);
 
   // --- Introspection (tests, lease-read gating) ---------------------------
-  bool IsWriteHeldBy(const Key& key, ExecutionId exec) const;
+  bool IsWriteHeldBy(const Key& key, ExecutionId exec) const {
+    return core_.IsWriteHeldBy(key, exec);
+  }
   // Any writer at all holds `key` (the lease-read fast path refuses keys
   // with a committed writer).
-  bool IsWriteLocked(const Key& key) const;
-  bool IsReadHeldBy(const Key& key, ExecutionId exec) const;
-  size_t WaitingCount(const Key& key) const;
-  size_t HeldKeyCount(ExecutionId exec) const;
+  bool IsWriteLocked(const Key& key) const { return core_.IsWriteLocked(key); }
+  bool IsReadHeldBy(const Key& key, ExecutionId exec) const {
+    return core_.IsReadHeldBy(key, exec);
+  }
+  size_t WaitingCount(const Key& key) const { return core_.WaitingCount(key); }
+  size_t HeldKeyCount(ExecutionId exec) const { return core_.HeldKeyCount(exec); }
   // Keys held by anyone at all — zero once every execution has released.
-  size_t TotalHeldKeys() const;
+  size_t TotalHeldKeys() const { return core_.TotalHeldKeys(); }
   LogIndex last_applied() const { return last_applied_; }
 
  private:
-  struct Waiter {
-    ExecutionId exec;
-    LockMode mode;
-  };
-
-  struct KeyLock {
-    ExecutionId writer = 0;          // 0 = none.
-    std::set<ExecutionId> readers;
-    std::vector<Waiter> queue;  // FIFO: the head is queue.front().
-
-    bool Free() const { return writer == 0 && readers.empty(); }
-  };
-
-  void ApplyAcquire(ExecutionId exec, LockMode mode, std::string_view key_view);
-  void ApplyRelease(ExecutionId exec);
-  // Grants queued waiters on `key` while compatible.
-  void DrainQueue(const Key& key, KeyLock& lock);
-  void Grant(ExecutionId exec, LockMode mode, const Key& key, KeyLock& lock);
-
-  // Transparent comparator: the apply path looks keys up by the view it
-  // decoded, without building a Key.
-  std::map<Key, KeyLock, std::less<>> locks_;
-  std::map<ExecutionId, std::set<Key>> held_;
+  LockCore core_;
   GrantListener grant_listener_;
   LogIndex last_applied_ = 0;
 };

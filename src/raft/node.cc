@@ -152,6 +152,10 @@ void RaftNode::BecomeCandidate() {
     pre_candidate_ = true;
     prevotes_granted_.clear();
     prevotes_granted_.insert(id_);
+    if (static_cast<int>(prevotes_granted_.size()) >= majority()) {
+      StartRealElection();  // A one-node group: its own pre-vote suffices.
+      return;
+    }
     RLOG(kDebug) << "raft node " << id_ << " starts pre-vote, term " << current_term_ + 1;
     ResetElectionTimer();
     BroadcastVoteRequest(RequestVoteArgs{.term = current_term_ + 1,
@@ -172,6 +176,10 @@ void RaftNode::StartRealElection() {
   voted_for_ = id_;
   votes_granted_.clear();
   votes_granted_.insert(id_);  // Own vote.
+  if (static_cast<int>(votes_granted_.size()) >= majority()) {
+    BecomeLeader();  // A one-node group: no reply will ever come.
+    return;
+  }
   RLOG(kDebug) << "raft node " << id_ << " starts election, term " << current_term_;
   ResetElectionTimer();
   BroadcastVoteRequest(RequestVoteArgs{.term = current_term_,

@@ -373,7 +373,7 @@ TEST(WireCodecTest, FullProtocolExchangeThroughTheCodec) {
   const Result<FunctionDef> shipped = DecodeFunction(EncodeFunction(original));
   ASSERT_TRUE(shipped.ok());
   registry.Register(*shipped);
-  LocalLockService locks(&sim);
+  ShardedLockService locks(&sim, 1);
   LviServer server(&sim, &store, &registry, &interp, &locks);
 
   // Client side: build the request, push it through the codec.

@@ -16,7 +16,7 @@ class LviServerTest : public ::testing::Test {
       : analyzer_(&HostRegistry::Standard()),
         interp_(&HostRegistry::Standard()),
         registry_(&analyzer_),
-        locks_(&sim_) {
+        locks_(&sim_, 1) {
     options_.intent_timeout = Millis(500);
     server_ = std::make_unique<LviServer>(&sim_, &store_, &registry_, &interp_, &locks_,
                                           options_);
@@ -48,7 +48,7 @@ class LviServerTest : public ::testing::Test {
   Analyzer analyzer_;
   Interpreter interp_;
   FunctionRegistry registry_;
-  LocalLockService locks_;
+  ShardedLockService locks_;
   LviServerOptions options_;
   std::unique_ptr<LviServer> server_;
 };
@@ -341,7 +341,7 @@ TEST_F(LviServerTest, RecoverResetsCapacityBusyPeriod) {
   // that no longer exists.
   LviServerOptions options;
   options.serving_capacity_rps = 10;  // 100 ms service time.
-  LocalLockService locks(&sim_);
+  ShardedLockService locks(&sim_, 1);
   VersionedStore store;
   store.Seed("k", Value("v"));
   LviServer server(&sim_, &store, &registry_, &interp_, &locks, options);

@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <random>
+#include <string>
 
 #include "src/common/stats.h"
 #include "src/raft/cluster.h"
@@ -48,6 +49,26 @@ TEST(RaftTest, FiveNodeClusterElects) {
   Applied applied;
   RaftCluster cluster(&sim, 5, RaftOptions{}, applied.Factory());
   EXPECT_GE(cluster.StartAndElect(), 0);
+}
+
+// A one-node group is its own majority: it must elect itself within its
+// first election timeout, with and without pre-vote, and commit at once. No
+// vote reply ever comes, so the candidate's own vote must decide.
+TEST(RaftTest, OneNodeClusterElectsItselfWithinFirstTimeout) {
+  for (const bool pre_vote : {false, true}) {
+    Simulator sim(5);
+    Applied applied;
+    RaftOptions options;
+    options.pre_vote = pre_vote;
+    RaftCluster cluster(&sim, 1, options, applied.Factory());
+    EXPECT_EQ(cluster.StartAndElect(options.election_timeout_max), 0) << "pre_vote " << pre_vote;
+    EXPECT_LE(sim.Now(), options.election_timeout_max) << "pre_vote " << pre_vote;
+    EXPECT_EQ(cluster.node(0)->term(), 1u) << "pre_vote " << pre_vote;
+    LogIndex committed = 0;
+    cluster.SubmitToLeader("cmd-1", [&](LogIndex index) { committed = index; });
+    EXPECT_EQ(committed, 1u) << "pre_vote " << pre_vote;
+    EXPECT_EQ(applied.by_node[0], (std::vector<std::string>{"cmd-1"}));
+  }
 }
 
 TEST(RaftTest, CommitsAndAppliesOnAllNodes) {
@@ -650,6 +671,43 @@ TEST(LockStateMachineSnapshotTest, RoundTripKeepsWhitespaceKeysReadersWriterAndQ
   restored.Apply(7, LockStateMachine::EncodeRelease(23));
   ASSERT_EQ(grants.size(), 2u);
   EXPECT_EQ(grants[1], (std::pair<ExecutionId, Key>{24, "room 1"}));
+}
+
+// The lock table is hash-indexed, but a snapshot lists its locks in
+// ascending key order: machines that reach one lock state through different
+// command orders (and different hash-table histories) encode it to the same
+// bytes, and so does a machine restored from them. The bytes of this small
+// state (a writer, two readers, a queued writer) are pinned, so a change to
+// the format or the key order fails here.
+TEST(LockStateMachineSnapshotTest, EncodingIsDeterministicAndPinned) {
+  LockStateMachine a;
+  a.Apply(1, LockStateMachine::EncodeAcquire(5, LockMode::kWrite, "w"));
+  a.Apply(2, LockStateMachine::EncodeAcquire(6, LockMode::kRead, "r"));
+  a.Apply(3, LockStateMachine::EncodeAcquire(7, LockMode::kRead, "r"));
+  a.Apply(4, LockStateMachine::EncodeAcquire(8, LockMode::kWrite, "r"));  // Queued.
+
+  LockStateMachine b;
+  LogIndex index = 0;
+  // Grow and empty the table first, so its buckets differ from a's.
+  for (int i = 0; i < 300; ++i) {
+    b.Apply(++index, LockStateMachine::EncodeAcquire(9, LockMode::kWrite,
+                                                     "scratch" + std::to_string(i)));
+  }
+  b.Apply(++index, LockStateMachine::EncodeRelease(9));
+  b.Apply(++index, LockStateMachine::EncodeAcquire(7, LockMode::kRead, "r"));
+  b.Apply(++index, LockStateMachine::EncodeAcquire(5, LockMode::kWrite, "w"));
+  b.Apply(++index, LockStateMachine::EncodeBatchAcquire(6, {"r"}, {LockMode::kRead}));
+  b.Apply(++index, LockStateMachine::EncodeAcquire(8, LockMode::kWrite, "r"));
+  b.Apply(4, "");  // Same last_applied as a.
+
+  const std::string pinned("\x03\x04\x02\x01r\x00\x02\x06\x07\x01\x01\x08\x01w\x05\x00\x00", 17);
+  EXPECT_EQ(a.EncodeSnapshot(), pinned);
+  EXPECT_EQ(b.EncodeSnapshot(), pinned);
+  LockStateMachine restored;
+  restored.RestoreSnapshot(pinned);
+  EXPECT_EQ(restored.EncodeSnapshot(), pinned);
+  EXPECT_TRUE(restored.IsWriteHeldBy("w", 5));
+  EXPECT_EQ(restored.WaitingCount("r"), 1u);
 }
 
 TEST(LockStateMachineSnapshotTest, GarbageSnapshotYieldsEmptyMachine) {

@@ -321,6 +321,37 @@ TEST_F(ReplicatedLocksTest, AcquireCommittingAfterReleaseIsCompensated) {
   EXPECT_TRUE(granted2);
 }
 
+// A one-node group commits and applies each proposal inside Propose, so a
+// grant listener that proposes re-enters the state machine mid-apply. Here
+// exec 2 queues behind exec 1 and releases while still queued. The release
+// must cancel the wait: were exec 2 granted by exec 1's release, the
+// listener's compensating release would apply inside that drain. Run it
+// under CHECK_SANITIZE=1 too.
+TEST(OneNodeReplicatedLocksTest, ReleaseWhileQueuedCancelsTheWait) {
+  Simulator sim(808);
+  ReplicatedLockService service(&sim, 1);
+  ASSERT_TRUE(service.Bootstrap());
+  bool granted1 = false;
+  bool granted2 = false;
+  service.AcquireAll(1, {"k"}, {LockMode::kWrite}, [&] { granted1 = true; });
+  sim.RunFor(Millis(50));
+  ASSERT_TRUE(granted1);
+  service.AcquireAll(2, {"k"}, {LockMode::kWrite}, [&] { granted2 = true; });
+  sim.RunFor(Millis(50));
+  const LockStateMachine* state = service.LeaderState();
+  ASSERT_NE(state, nullptr);
+  ASSERT_EQ(state->WaitingCount("k"), 1u);
+  service.ReleaseAll(2);
+  sim.RunFor(Millis(50));
+  EXPECT_EQ(state->WaitingCount("k"), 0u);
+  service.ReleaseAll(1);
+  sim.RunFor(Millis(50));
+  EXPECT_FALSE(granted2);
+  EXPECT_EQ(service.compensating_releases(), 0u);
+  EXPECT_EQ(service.held_grants(), 0u);
+  EXPECT_EQ(state->TotalHeldKeys(), 0u);
+}
+
 // --- Multi-Raft sharded lock groups -----------------------------------------
 
 TEST(ShardedReplicatedLocksTest, AcquiresSpanIndependentGroups) {
@@ -451,7 +482,7 @@ TEST(ShardedReplicatedDeploymentTest, FaultSweepStaysLinearizable) {
   Simulator sim(515);
   Network net(&sim, LatencyMatrix::PaperDefault());
   RadicalConfig config;
-  config.server.replicated_shards = 4;
+  config.server.shards = 4;
   config.retry.request_timeout = Millis(400);
   config.retry.followup_ack_timeout = Millis(400);
   RadicalDeployment radical(&sim, &net, config, DeploymentRegions(),
@@ -545,15 +576,18 @@ TEST(ShardedReplicatedDeploymentTest, FaultSweepStaysLinearizable) {
   EXPECT_TRUE(radical.server().idle());
 }
 
-// --- Defaults pin: replicated_shards unset is byte-identical to one group ---
+// --- Defaults pin: shards unset is byte-identical to one group -------------
 
 // Runs a small replicated-deployment workload and fingerprints every latency,
-// the primary-store state, and the simulator's event count.
-std::string ReplicatedFingerprint(int replicated_shards) {
+// the primary-store state, and the simulator's event count. `shards` <= 0
+// leaves the config at its default.
+std::string ReplicatedFingerprint(int shards) {
   Simulator sim(606);
   Network net(&sim, LatencyMatrix::PaperDefault(), NoJitter());
   RadicalConfig config;
-  config.server.replicated_shards = replicated_shards;
+  if (shards > 0) {
+    config.server.shards = shards;
+  }
   RadicalDeployment radical(&sim, &net, config, {Region::kCA, Region::kJP},
                             /*replicated_locks=*/3);
   radical.RegisterFunction(Fn("reg_write", {"k", "v"}, {
@@ -593,15 +627,15 @@ std::string ReplicatedFingerprint(int replicated_shards) {
 
 TEST(ShardedReplicatedDeploymentTest, DefaultsAreByteIdenticalToSingleGroup) {
   // The multi-Raft refactor must be invisible until opted into: with
-  // replicated_shards unset (and no env override) the deployment behaves
-  // byte-for-byte like the explicit single-group configuration.
-  const char* saved = std::getenv("RADICAL_REPLICATED_SHARDS");
+  // shards unset (and no env override) the deployment behaves byte-for-byte
+  // like the explicit single-group configuration.
+  const char* saved = std::getenv("RADICAL_SHARDS");
   const std::string saved_value = saved == nullptr ? "" : saved;
-  unsetenv("RADICAL_REPLICATED_SHARDS");
+  unsetenv("RADICAL_SHARDS");
   const std::string unset = ReplicatedFingerprint(0);
   const std::string one = ReplicatedFingerprint(1);
   const std::string four = ReplicatedFingerprint(4);
-  if (saved != nullptr) setenv("RADICAL_REPLICATED_SHARDS", saved_value.c_str(), 1);
+  if (saved != nullptr) setenv("RADICAL_SHARDS", saved_value.c_str(), 1);
   EXPECT_EQ(unset, one);
   // Sanity: the knob is not a no-op — four groups simulate differently.
   EXPECT_NE(unset, four);

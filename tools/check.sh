@@ -18,18 +18,18 @@
 # CHECK_SHARD_MATRIX=1 tools/check.sh  reruns the whole test suite against a
 # sharded LVI server (RADICAL_SHARDS=4, picked up by RadicalDeployment) after
 # the default shards=1 pass — every tier-1 invariant must hold at both
-# points of the matrix.
+# points of the matrix. The shard count is also the replicated deployment's
+# Raft lock-group count, so the RADICAL_SHARDS=4 pass runs every replicated
+# deployment a test builds on four groups (multi-Raft) as well.
 #
-# CHECK_REPLICATED=1 tools/check.sh  reruns the whole test suite against the
-# multi-Raft replicated lock path (RADICAL_REPLICATED_SHARDS=1 and =4, picked
-# up by RadicalDeployment whenever a test constructs a replicated
-# deployment), then runs bench/sec5_6_replication at full size (it takes
-# under a second now that Raft appends are pipelined) — which includes the
-# lock-group throughput curve and the leader kill/rejoin linearizability
-# sweep (the bench exits nonzero on lost replies or a non-linearizable
-# history) — and schema-checks the exported replicated-point fields with
-# tools/bench_json_check, asserting both multi-Raft curves made it into the
-# report.
+# CHECK_REPLICATED=1 tools/check.sh  runs bench/sec5_6_replication at full
+# size (it takes under a second now that Raft appends are pipelined) — which
+# includes the lock-group throughput curve and the leader kill/rejoin
+# linearizability sweep (the bench exits nonzero on lost replies or a
+# non-linearizable history) — and schema-checks the exported
+# replicated-point fields with tools/bench_json_check, asserting both
+# multi-Raft curves made it into the report. The suite reruns at one and
+# four lock groups are CHECK_SHARD_MATRIX's passes.
 #
 # CHECK_SESSION=1 tools/check.sh  reruns the whole test suite with
 # RADICAL_FORCE_SESSIONS=1 (RadicalDeployment routes every Invoke through a
@@ -116,10 +116,6 @@ if [ "${CHECK_OVERLOAD:-0}" = "1" ]; then
 fi
 
 if [ "${CHECK_REPLICATED:-0}" = "1" ]; then
-  echo "== replicated matrix: RADICAL_REPLICATED_SHARDS=1 (explicit) =="
-  RADICAL_REPLICATED_SHARDS=1 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
-  echo "== replicated matrix: RADICAL_REPLICATED_SHARDS=4 =="
-  RADICAL_REPLICATED_SHARDS=4 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
   REPL_DIR="$BUILD_DIR/replicated"
   mkdir -p "$REPL_DIR"
   echo "== replicated: multi-Raft throughput + leader kill/rejoin sweep =="
