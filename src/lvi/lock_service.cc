@@ -90,7 +90,6 @@ ReplicatedLockService::ReplicatedLockService(Simulator* sim, int node_count,
                                              int shards)
     : sim_(sim),
       batched_(batched),
-      lease_reads_enabled_(raft_options.leader_lease),
       raft_options_(raft_options),
       router_(std::max(1, shards)),
       groups_(static_cast<size_t>(router_.shards())) {
@@ -163,12 +162,6 @@ void ReplicatedLockService::AcquireAll(ExecutionId exec, std::vector<Key> keys,
     sim_->Schedule(0, std::move(granted));
     return;
   }
-  if (lease_held_.count(exec) > 0) {
-    // A retry of an acquisition already served off a leader lease: the
-    // lease registration still stands.
-    sim_->Schedule(0, std::move(granted));
-    return;
-  }
   const auto pit = pending_.find(exec);
   if (pit != pending_.end()) {
     // Retried acquisition while the original is still working through Raft:
@@ -215,151 +208,13 @@ void ReplicatedLockService::AcquireAll(ExecutionId exec, std::vector<Key> keys,
     sim_->Schedule(0, std::move(acq.granted));
     return;
   }
-  if (acq.granted_keys.empty() && TryLeaseRead(exec, acq)) {
-    return;
-  }
-  while (!batched_ && acq.next < acq.keys.size() &&
-         acq.granted_keys.count(acq.keys[acq.next]) > 0) {
-    ++acq.next;
-  }
   pending_.emplace(exec, std::move(acq));
-  if (batched_) {
-    SubmitNextBatch(exec);
-    return;
-  }
-  SubmitNext(exec);
+  SubmitRun(exec);
 }
 
-bool ReplicatedLockService::TryLeaseRead(ExecutionId exec, PendingAcquire& acq) {
-  if (!lease_reads_enabled_) {
-    return false;
-  }
-  for (LockMode mode : acq.modes) {
-    if (mode != LockMode::kRead) {
-      return false;
-    }
-  }
-  // Every key's group leader must hold a valid lease, and the key must be
-  // write-free with an empty wait queue in that leader's applied state.
-  for (size_t i = 0; i < acq.keys.size(); ++i) {
-    const LockGroup& group = groups_[static_cast<size_t>(acq.shard_of[i])];
-    RaftNode* leader = group.cluster->leader();
-    if (leader == nullptr || !leader->HasLeaderLease()) {
-      ++lease_read_fallbacks_;
-      return false;
-    }
-    const LockStateMachine* machine =
-        group.machines[static_cast<size_t>(leader->id())].get();
-    if (machine->IsWriteLocked(acq.keys[i]) || machine->WaitingCount(acq.keys[i]) > 0) {
-      ++lease_read_fallbacks_;
-      return false;
-    }
-  }
-  // No in-flight (submitted or parked) write on any of the keys either: the
-  // service is the groups' sole client, so checking its own pending set
-  // closes the window between a write's submission and its commit.
-  for (const auto& [other, other_acq] : pending_) {
-    (void)other;
-    for (size_t i = 0; i < other_acq.keys.size(); ++i) {
-      if (other_acq.modes[i] != LockMode::kWrite ||
-          other_acq.granted_keys.count(other_acq.keys[i]) > 0) {
-        continue;
-      }
-      if (std::find(acq.keys.begin(), acq.keys.end(), other_acq.keys[i]) != acq.keys.end()) {
-        ++lease_read_fallbacks_;
-        return false;
-      }
-    }
-  }
-  for (const Key& key : acq.keys) {
-    lease_readers_[key].insert(exec);
-  }
-  lease_held_.emplace(exec, acq.keys);
-  ++lease_reads_;
-  sim_->Schedule(0, std::move(acq.granted));
-  return true;
-}
-
-bool ReplicatedLockService::ReleaseLeaseReads(ExecutionId exec) {
-  const auto it = lease_held_.find(exec);
-  const bool had_lease = it != lease_held_.end();
-  if (had_lease) {
-    for (const Key& key : it->second) {
-      const auto rit = lease_readers_.find(key);
-      if (rit == lease_readers_.end()) {
-        continue;
-      }
-      rit->second.erase(exec);
-      if (!rit->second.empty()) {
-        continue;
-      }
-      lease_readers_.erase(rit);
-      // The key's last lease reader is gone: wake writers parked behind it.
-      const auto bit = lease_blocked_.find(key);
-      if (bit == lease_blocked_.end()) {
-        continue;
-      }
-      std::set<ExecutionId> waiters = std::move(bit->second);
-      lease_blocked_.erase(bit);
-      for (ExecutionId waiter : waiters) {
-        sim_->Schedule(0, [this, waiter] {
-          if (pending_.count(waiter) == 0) {
-            return;
-          }
-          if (batched_) {
-            SubmitNextBatch(waiter);
-          } else {
-            SubmitNext(waiter);
-          }
-        });
-      }
-    }
-    lease_held_.erase(it);
-  }
-  // Drop any parked-writer registrations `exec` itself holds.
-  for (auto bit = lease_blocked_.begin(); bit != lease_blocked_.end();) {
-    bit->second.erase(exec);
-    bit = bit->second.empty() ? lease_blocked_.erase(bit) : std::next(bit);
-  }
-  return had_lease;
-}
-
-void ReplicatedLockService::SubmitNext(ExecutionId exec) {
-  const auto it = pending_.find(exec);
-  if (it == pending_.end()) {
-    return;
-  }
-  PendingAcquire& acq = it->second;
-  while (acq.next < acq.keys.size() && acq.granted_keys.count(acq.keys[acq.next]) > 0) {
-    ++acq.next;
-  }
-  if (acq.next >= acq.keys.size()) {
-    return;  // Completion is handled on the grant path.
-  }
-  const Key& key = acq.keys[acq.next];
-  if (acq.modes[acq.next] == LockMode::kWrite) {
-    const auto rit = lease_readers_.find(key);
-    if (rit != lease_readers_.end() && !rit->second.empty()) {
-      // Lease readers hold the key outside the replicated table; park until
-      // the last one releases (ReleaseLeaseReads resumes us).
-      lease_blocked_[key].insert(exec);
-      return;
-    }
-  }
-  const std::string command = LockStateMachine::EncodeAcquire(exec, acq.modes[acq.next], key);
-  // Locks are acquired in series (§5.6): the next key is only submitted once
-  // this one is granted — see OnGrant.
-  cluster(acq.shard_of[acq.next])
-      .SubmitToLeader(command, [this, exec](LogIndex index) {
-        if (index == 0) {
-          OnAcquireSubmitFailed(exec);
-        }
-      });
-}
-
-size_t ReplicatedLockService::RunEnd(const PendingAcquire& acq, size_t from) {
-  if (from >= acq.keys.size()) {
-    return from;
+size_t ReplicatedLockService::RunEnd(const PendingAcquire& acq, size_t from) const {
+  if (from >= acq.keys.size() || !batched_) {
+    return std::min(from + 1, acq.keys.size());
   }
   const int shard = acq.shard_of[from];
   size_t end = from;
@@ -369,55 +224,50 @@ size_t ReplicatedLockService::RunEnd(const PendingAcquire& acq, size_t from) {
   return end;
 }
 
-void ReplicatedLockService::SubmitNextBatch(ExecutionId exec) {
+void ReplicatedLockService::SkipGrantedRuns(PendingAcquire& acq) const {
+  while (acq.next < acq.keys.size()) {
+    const size_t end = RunEnd(acq, acq.next);
+    for (size_t i = acq.next; i < end; ++i) {
+      if (acq.granted_keys.count(acq.keys[i]) == 0) {
+        return;
+      }
+    }
+    acq.next = end;
+  }
+}
+
+void ReplicatedLockService::SubmitRun(ExecutionId exec) {
   const auto it = pending_.find(exec);
   if (it == pending_.end()) {
     return;
   }
   PendingAcquire& acq = it->second;
-  // Skip over runs whose keys are all already granted (pre-grants from a
-  // retry after crash).
-  while (acq.batch_from < acq.keys.size()) {
-    const size_t end = RunEnd(acq, acq.batch_from);
-    bool all_granted = true;
-    for (size_t i = acq.batch_from; i < end; ++i) {
-      if (acq.granted_keys.count(acq.keys[i]) == 0) {
-        all_granted = false;
-        break;
-      }
-    }
-    if (!all_granted) {
-      break;
-    }
-    acq.batch_from = end;
-  }
-  if (acq.batch_from >= acq.keys.size()) {
+  // Skip runs already granted (pre-grants from a retry after a crash).
+  SkipGrantedRuns(acq);
+  if (acq.next >= acq.keys.size()) {
     return;  // Completion is handled on the grant path.
   }
-  const size_t end = RunEnd(acq, acq.batch_from);
-  std::vector<Key> run_keys;
-  std::vector<LockMode> run_modes;
-  for (size_t i = acq.batch_from; i < end; ++i) {
-    if (acq.modes[i] == LockMode::kWrite) {
-      const auto rit = lease_readers_.find(acq.keys[i]);
-      if (rit != lease_readers_.end() && !rit->second.empty()) {
-        lease_blocked_[acq.keys[i]].insert(exec);
-        return;
-      }
-    }
-    run_keys.push_back(acq.keys[i]);
-    run_modes.push_back(acq.modes[i]);
+  // Locks are acquired in series (§5.6), one commit per key. Batched, one
+  // commit carries a same-shard run's whole key set and the state machine
+  // grants what is free and queues the rest atomically. Either way a run is
+  // only submitted once the one before it is granted, in ascending (shard,
+  // key) order — see OnGrant.
+  const size_t end = RunEnd(acq, acq.next);
+  std::string command;
+  if (batched_) {
+    const std::vector<Key> run_keys(acq.keys.begin() + acq.next, acq.keys.begin() + end);
+    const std::vector<LockMode> run_modes(acq.modes.begin() + acq.next,
+                                          acq.modes.begin() + end);
+    command = LockStateMachine::EncodeBatchAcquire(exec, run_keys, run_modes);
+  } else {
+    command = LockStateMachine::EncodeAcquire(exec, acq.modes[acq.next], acq.keys[acq.next]);
   }
-  // One commit carries the run's whole key set; the state machine grants
-  // what is free and queues the rest atomically. Runs are taken in
-  // ascending shard order, chaining on the run's last grant.
-  cluster(acq.shard_of[acq.batch_from])
-      .SubmitToLeader(LockStateMachine::EncodeBatchAcquire(exec, run_keys, run_modes),
-                      [this, exec](LogIndex index) {
-                        if (index == 0) {
-                          OnAcquireSubmitFailed(exec);
-                        }
-                      });
+  cluster(acq.shard_of[acq.next])
+      .SubmitToLeader(std::move(command), [this, exec](LogIndex index) {
+        if (index == 0) {
+          OnAcquireSubmitFailed(exec);
+        }
+      });
 }
 
 void ReplicatedLockService::OnAcquireSubmitFailed(ExecutionId exec) {
@@ -430,16 +280,7 @@ void ReplicatedLockService::OnAcquireSubmitFailed(ExecutionId exec) {
   // would stall the acquisition forever.
   ++acquire_resubmits_;
   RLOG(kWarn) << "replicated acquire proposal timed out; resubmitting exec=" << exec;
-  sim_->Schedule(raft_options_.election_timeout_min, [this, exec] {
-    if (pending_.count(exec) == 0) {
-      return;
-    }
-    if (batched_) {
-      SubmitNextBatch(exec);
-    } else {
-      SubmitNext(exec);
-    }
-  });
+  sim_->Schedule(raft_options_.election_timeout_min, [this, exec] { SubmitRun(exec); });
 }
 
 void ReplicatedLockService::OnGrant(LockGroup& group, NodeId node, LogIndex index,
@@ -455,10 +296,16 @@ void ReplicatedLockService::OnGrant(LockGroup& group, NodeId node, LogIndex inde
   group.reported_index = index;
   group.reported_by = node;
   const auto it = pending_.find(exec);
-  if (it == pending_.end() && released_execs_.count(exec) > 0) {
-    // The exec released before this (retried) acquire committed. Submit a
-    // fresh release: it necessarily lands after the acquire in the group's
-    // log, so the stray lock cannot leak.
+  if (it == pending_.end()) {
+    const auto held = held_grants_.lower_bound({exec, Key()});
+    if (held != held_grants_.end() && held->first == exec) {
+      // A duplicate acquire re-granting a key of a completed acquisition.
+      held_grants_.emplace(exec, key);
+      return;
+    }
+    // Neither acquiring nor holding: the exec released before this (retried)
+    // acquire committed. Submit a fresh release: it necessarily lands after
+    // the acquire in the group's log, so the stray lock cannot leak.
     ++compensating_releases_;
     const int shard = router_.ShardOf(key);
     releasing_[exec].insert(shard);
@@ -466,9 +313,6 @@ void ReplicatedLockService::OnGrant(LockGroup& group, NodeId node, LogIndex inde
     return;
   }
   held_grants_.emplace(exec, key);
-  if (it == pending_.end()) {
-    return;  // A duplicate acquire re-granting a key of a completed acquisition.
-  }
   PendingAcquire& acq = it->second;
   const bool expected =
       std::find(acq.keys.begin(), acq.keys.end(), key) != acq.keys.end();
@@ -476,31 +320,12 @@ void ReplicatedLockService::OnGrant(LockGroup& group, NodeId node, LogIndex inde
     return;  // A grant for some other key (e.g. replayed after restart).
   }
   acq.granted_keys.insert(key);
-  if (!batched_ && acq.next < acq.keys.size() && acq.keys[acq.next] == key) {
-    ++acq.next;
-    while (acq.next < acq.keys.size() && acq.granted_keys.count(acq.keys[acq.next]) > 0) {
-      ++acq.next;
-    }
-    if (acq.next < acq.keys.size()) {
-      // Schedule rather than recurse: grants fire inside Raft's apply path.
-      sim_->Schedule(0, [this, exec] { SubmitNext(exec); });
-    }
-  }
-  if (batched_ && acq.batch_from < acq.keys.size()) {
-    const size_t end = RunEnd(acq, acq.batch_from);
-    bool run_granted = true;
-    for (size_t i = acq.batch_from; i < end; ++i) {
-      if (acq.granted_keys.count(acq.keys[i]) == 0) {
-        run_granted = false;
-        break;
-      }
-    }
-    if (run_granted) {
-      acq.batch_from = end;
-      if (acq.batch_from < acq.keys.size()) {
-        sim_->Schedule(0, [this, exec] { SubmitNextBatch(exec); });
-      }
-    }
+  const size_t run = acq.next;
+  SkipGrantedRuns(acq);
+  if (acq.next != run && acq.next < acq.keys.size()) {
+    // The current run is granted: submit the next one. Schedule rather than
+    // recurse: grants fire inside Raft's apply path.
+    sim_->Schedule(0, [this, exec] { SubmitRun(exec); });
   }
   if (acq.granted_keys.size() < acq.keys.size()) {
     return;
@@ -526,21 +351,15 @@ void ReplicatedLockService::ReleaseAll(ExecutionId exec) {
   const auto pit = pending_.find(exec);
   if (pit != pending_.end()) {
     const PendingAcquire& acq = pit->second;
-    const size_t frontier =
-        batched_ ? RunEnd(acq, acq.batch_from) : std::min(acq.next + 1, acq.keys.size());
+    const size_t frontier = RunEnd(acq, acq.next);
     for (size_t i = 0; i < frontier; ++i) {
       shards.insert(acq.shard_of[i]);
     }
     pending_.erase(pit);
   }
-  const bool had_lease = ReleaseLeaseReads(exec);
   if (shards.empty()) {
-    if (had_lease) {
-      return;  // A pure lease read never touched any log: zero-commit release.
-    }
     shards.insert(0);  // Stray release: route to group 0 (harmless no-op).
   }
-  released_execs_.insert(exec);
   for (int shard : shards) {
     if (releasing_[exec].insert(shard).second) {
       SubmitRelease(exec, shard);

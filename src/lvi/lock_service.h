@@ -15,18 +15,19 @@
 //    in a 3-node etcd (Raft) cluster across availability zones. Each lock
 //    acquisition is one Raft commit (~2.3 ms) and the implementation
 //    acquires locks in series, so an LVI request with L locks pays ~2.3·L ms
-//    extra — the constant the paper reports. With `shards` > 1 it runs one
-//    independent Raft group per key-range shard (multi-Raft): requests are
-//    re-ordered into the same (shard, key) total order the in-memory
-//    service uses, so deadlock freedom carries over, while unrelated shards
-//    commit in parallel.
+//    extra — the constant the paper reports. Batched mode instead commits
+//    each same-shard run of keys at once; both modes walk the keys in runs
+//    through one submit path. With `shards` > 1 it runs one independent
+//    Raft group per key-range shard (multi-Raft): requests are re-ordered
+//    into the same (shard, key) total order the in-memory service uses, so
+//    deadlock freedom carries over, while unrelated shards commit in
+//    parallel.
 //
 // Both keep their per-key lock state in LockCore (src/lvi/lock_core.h).
 
 #ifndef RADICAL_SRC_LVI_LOCK_SERVICE_H_
 #define RADICAL_SRC_LVI_LOCK_SERVICE_H_
 
-#include <map>
 #include <memory>
 #include <set>
 #include <unordered_map>
@@ -99,10 +100,7 @@ class ReplicatedLockService : public LockService {
   // contiguous same-shard key run instead of one per lock (the paper
   // acquires in series and notes batching as future work). `shards` > 1
   // partitions the key space across that many independent Raft groups
-  // (each `node_count` wide) keyed by ShardRouter. When
-  // raft_options.leader_lease is set, all-read acquisitions additionally
-  // take a local lease-read fast path on group leaders holding a valid
-  // lease (see docs/raft.md), skipping the commit path entirely.
+  // (each `node_count` wide) keyed by ShardRouter.
   ReplicatedLockService(Simulator* sim, int node_count, RaftOptions raft_options = {},
                         LocalMeshOptions mesh_options = {}, bool batched = false,
                         int shards = 1);
@@ -123,17 +121,13 @@ class ReplicatedLockService : public LockService {
   // The group leader's view of the lock state (tests).
   const LockStateMachine* LeaderState(int shard = 0) const;
 
-  // Liveness and fast-path counters.
+  // Liveness counters.
   // Acquire proposals that timed out (e.g. a leaderless spell outlasting the
   // submit deadline) and were resubmitted instead of stalling forever.
   uint64_t acquire_resubmits() const { return acquire_resubmits_; }
   // Release proposals that timed out and were retried until committed
   // (dropping one would leak the lock in the replicated table).
   uint64_t release_retries() const { return release_retries_; }
-  // All-read acquisitions served locally off a leader lease (zero commits).
-  uint64_t lease_reads() const { return lease_reads_; }
-  // All-read acquisitions that had to fall back to the commit path.
-  uint64_t lease_read_fallbacks() const { return lease_read_fallbacks_; }
   // Releases submitted because an acquire committed after its exec had
   // already released (a retried acquire landing late in the log).
   uint64_t compensating_releases() const { return compensating_releases_; }
@@ -157,20 +151,22 @@ class ReplicatedLockService : public LockService {
     std::vector<Key> keys;
     std::vector<LockMode> modes;
     std::vector<int> shard_of;
-    size_t next = 0;        // Serial mode: next key to submit through Raft.
-    size_t batch_from = 0;  // Batched mode: first key of the current run.
+    // First key of the run being acquired: every key before it is granted.
+    size_t next = 0;
     std::set<Key> granted_keys;
     InlineTask granted;
   };
 
   void BuildGroup(int g, int node_count, const RaftOptions& raft_options,
                   const LocalMeshOptions& mesh_options);
-  // Submits the acquire command for `exec`'s next key; continues on grant.
-  void SubmitNext(ExecutionId exec);
-  // Batched mode: submits the contiguous same-shard run at `batch_from`.
-  void SubmitNextBatch(ExecutionId exec);
-  // End of the contiguous same-shard run starting at `from`.
-  static size_t RunEnd(const PendingAcquire& acq, size_t from);
+  // End of the run starting at `from`: the next key alone in serial mode,
+  // the contiguous same-shard run when batched.
+  size_t RunEnd(const PendingAcquire& acq, size_t from) const;
+  // Moves `acq.next` past every run whose keys are all granted.
+  void SkipGrantedRuns(PendingAcquire& acq) const;
+  // Submits one acquire command for `exec`'s run at `next`; OnGrant submits
+  // the following run once this one is granted.
+  void SubmitRun(ExecutionId exec);
   // An acquire proposal timed out; resubmit once the dust settles.
   void OnAcquireSubmitFailed(ExecutionId exec);
   // A replica of `group` applying log `index` granted `exec` the lock on
@@ -179,39 +175,22 @@ class ReplicatedLockService : public LockService {
                const Key& key);
   // Submits (and retries until committed) `exec`'s release in `shard`.
   void SubmitRelease(ExecutionId exec, int shard);
-  // Lease-read fast path: grants an all-read acquisition locally when every
-  // key's group leader holds a valid lease and no writer is committed,
-  // queued, or pending on any of the keys. Consumes acq.granted on success.
-  bool TryLeaseRead(ExecutionId exec, PendingAcquire& acq);
-  // Drops `exec`'s lease-read registrations, waking parked writers; returns
-  // whether it held any.
-  bool ReleaseLeaseReads(ExecutionId exec);
 
   Simulator* sim_;
   bool batched_;
-  bool lease_reads_enabled_ = false;
   RaftOptions raft_options_;
   ShardRouter router_;
   std::vector<LockGroup> groups_;
   std::unordered_map<ExecutionId, PendingAcquire> pending_;
   // Reported grants not yet released, ordered by exec so ReleaseAll finds
-  // an exec's entries with one lower_bound.
+  // an exec's entries with one lower_bound. A grant for an exec with neither
+  // a pending acquisition nor a held grant comes from an acquire that
+  // committed after the exec released; it gets a compensating release.
   std::set<std::pair<ExecutionId, Key>> held_grants_;
-  // Execs that have released: a grant that commits after the release (a
-  // retried acquire landing late in the log) triggers a compensating
-  // release instead of leaking the lock.
-  std::set<ExecutionId> released_execs_;
   // Shards with a release submitted but not yet committed, per exec.
   std::unordered_map<ExecutionId, std::set<int>> releasing_;
-  // Lease-read bookkeeping: per-key lease readers, each exec's lease-read
-  // key set, and writers parked behind a key's lease readers.
-  std::map<Key, std::set<ExecutionId>> lease_readers_;
-  std::unordered_map<ExecutionId, std::vector<Key>> lease_held_;
-  std::map<Key, std::set<ExecutionId>> lease_blocked_;
   uint64_t acquire_resubmits_ = 0;
   uint64_t release_retries_ = 0;
-  uint64_t lease_reads_ = 0;
-  uint64_t lease_read_fallbacks_ = 0;
   uint64_t compensating_releases_ = 0;
 };
 

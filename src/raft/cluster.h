@@ -50,10 +50,6 @@ class RaftCluster {
   void CrashNode(NodeId id);
   void RestartNode(NodeId id);
 
-  // Asks the current leader to hand leadership to `target`. Returns false
-  // when there is no leader or the transfer cannot start.
-  bool TransferLeadership(NodeId target);
-
  private:
   void TrySubmit(std::string command, RaftNode::ProposeCallback done, SimTime deadline_at);
 

@@ -61,12 +61,11 @@ class LockStateMachine {
   std::string EncodeSnapshot() const;
   void RestoreSnapshot(const std::string& data);
 
-  // --- Introspection (tests, lease-read gating) ---------------------------
+  // --- Introspection (tests) ----------------------------------------------
   bool IsWriteHeldBy(const Key& key, ExecutionId exec) const {
     return core_.IsWriteHeldBy(key, exec);
   }
-  // Any writer at all holds `key` (the lease-read fast path refuses keys
-  // with a committed writer).
+  // Any writer at all holds `key`.
   bool IsWriteLocked(const Key& key) const { return core_.IsWriteLocked(key); }
   bool IsReadHeldBy(const Key& key, ExecutionId exec) const {
     return core_.IsReadHeldBy(key, exec);

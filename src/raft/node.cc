@@ -72,9 +72,7 @@ void RaftNode::Crash() {
   pre_candidate_ = false;
   prevotes_granted_.clear();
   last_leader_contact_ = kNeverHeard;
-  transfer_target_ = -1;
   leader_hint_ = -1;
-  ack_anchor_.clear();
   proposal_busy_until_ = 0;
   next_index_.clear();
   match_index_.clear();
@@ -128,7 +126,6 @@ void RaftNode::BecomeFollower(Term term) {
   pre_candidate_ = false;
   prevotes_granted_.clear();
   votes_granted_.clear();
-  transfer_target_ = -1;
   if (term > current_term_) {
     current_term_ = term;
     voted_for_ = -1;
@@ -215,7 +212,6 @@ void RaftNode::BecomeLeader() {
   role_ = RaftRole::kLeader;
   leader_hint_ = id_;
   pre_candidate_ = false;
-  transfer_target_ = -1;
   RLOG(kInfo) << "raft node " << id_ << " becomes leader, term " << current_term_;
   // Every follower starts out probing at our log end: the first heartbeat
   // finds where its log actually stands before anything is pipelined.
@@ -224,14 +220,6 @@ void RaftNode::BecomeLeader() {
   match_index_.assign(nodes, 0);
   sent_index_.assign(nodes, log_.last_index());
   probing_.assign(nodes, 1);
-  ack_anchor_.assign(static_cast<size_t>(mesh_->node_count()), kNeverHeard);
-  if (options_.leader_lease) {
-    // Commit a current-term entry right away: lease reads are only safe once
-    // the leader's commit index has caught up to its own term (leader
-    // completeness then guarantees its applied state is current). The state
-    // machines ignore unknown commands.
-    log_.Append(LogEntry{current_term_, "noop"});
-  }
   match_index_[static_cast<size_t>(id_)] = log_.last_index();
   if (election_timer_ != kInvalidEventId) {
     mesh_->simulator()->Cancel(election_timer_);
@@ -282,28 +270,26 @@ void RaftNode::SendAppend(NodeId peer, LogIndex prev) {
                          .entries = log_.EntriesAfter(prev, options_.max_entries_per_append),
                          .leader_commit = commit_index_};
   sent_index_[p] = std::max(sent_index_[p], prev + args.entries.size());
-  const SimTime sent_at = mesh_->simulator()->Now();
   const size_t wire_size = AppendWireSize(args);
   // The follower fsyncs new entries to its WAL before acknowledging.
   const SimDuration handle_delay =
       options_.process_delay + (args.entries.empty() ? 0 : options_.fsync_delay);
   mesh_->endpoint(id_).Send(mesh_->endpoint(peer), net::MessageKind::kRaftAppend, wire_size,
-                            [this, peer, args = std::move(args), sent_at,
-                             handle_delay]() mutable {
+                            [this, peer, args = std::move(args), handle_delay]() mutable {
     RaftNode* node = peers_(peer);
     if (node == nullptr || !node->alive_) {
       return;
     }
-    mesh_->simulator()->Schedule(handle_delay, [this, peer, args = std::move(args), sent_at] {
+    mesh_->simulator()->Schedule(handle_delay, [this, peer, args = std::move(args)] {
       RaftNode* target = peers_(peer);
       if (target == nullptr || !target->alive_) {
         return;
       }
       const AppendEntriesReply reply = target->HandleAppendEntries(args);
       mesh_->endpoint(peer).Send(mesh_->endpoint(id_), net::MessageKind::kRaftAppendReply,
-                                 kAppendReplyWireSize, [this, reply, sent_at] {
+                                 kAppendReplyWireSize, [this, reply] {
         if (alive_) {
-          HandleAppendReply(reply, sent_at);
+          HandleAppendReply(reply);
         }
       });
     });
@@ -323,26 +309,25 @@ void RaftNode::SendSnapshotTo(NodeId peer) {
                            .last_included_index = log_.snapshot_index(),
                            .last_included_term = log_.snapshot_term(),
                            .data = snapshot_data_};
-  const SimTime sent_at = mesh_->simulator()->Now();
   const size_t wire_size = SnapshotWireSize(args);
   mesh_->endpoint(id_).Send(mesh_->endpoint(peer), net::MessageKind::kRaftSnapshot, wire_size,
-                            [this, peer, args = std::move(args), sent_at]() mutable {
+                            [this, peer, args = std::move(args)]() mutable {
     RaftNode* node = peers_(peer);
     if (node == nullptr || !node->alive_) {
       return;
     }
     // Installing a snapshot is a disk write on the follower.
     mesh_->simulator()->Schedule(options_.process_delay + options_.fsync_delay,
-                                 [this, peer, args = std::move(args), sent_at] {
+                                 [this, peer, args = std::move(args)] {
       RaftNode* target = peers_(peer);
       if (target == nullptr || !target->alive_) {
         return;
       }
       const AppendEntriesReply reply = target->HandleInstallSnapshot(args);
       mesh_->endpoint(peer).Send(mesh_->endpoint(id_), net::MessageKind::kRaftAppendReply,
-                                 kAppendReplyWireSize, [this, reply, sent_at] {
+                                 kAppendReplyWireSize, [this, reply] {
         if (alive_) {
-          HandleAppendReply(reply, sent_at);
+          HandleAppendReply(reply);
         }
       });
     });
@@ -510,7 +495,7 @@ AppendEntriesReply RaftNode::HandleAppendEntries(const AppendEntriesArgs& args) 
   return reply;
 }
 
-void RaftNode::HandleAppendReply(const AppendEntriesReply& reply, SimTime sent_at) {
+void RaftNode::HandleAppendReply(const AppendEntriesReply& reply) {
   if (reply.term > current_term_) {
     BecomeFollower(reply.term);
     return;
@@ -519,23 +504,12 @@ void RaftNode::HandleAppendReply(const AppendEntriesReply& reply, SimTime sent_a
     return;
   }
   const auto peer = static_cast<size_t>(reply.from);
-  // Any current-term reply — success or not — proves the follower processed
-  // an RPC of ours sent at `sent_at`; that send time anchors the lease.
-  if (sent_at >= 0 && peer < ack_anchor_.size()) {
-    ack_anchor_[peer] = std::max(ack_anchor_[peer], sent_at);
-  }
   if (reply.success) {
     match_index_[peer] = std::max(match_index_[peer], reply.match_index);
     next_index_[peer] = match_index_[peer] + 1;
     sent_index_[peer] = std::max(sent_index_[peer], match_index_[peer]);
     probing_[peer] = 0;
     AdvanceCommit();
-    // Leadership transfer: the successor just caught up — tell it to go.
-    if (TransferInProgress() && transfer_target_ == reply.from &&
-        match_index_[peer] == log_.last_index()) {
-      SendTimeoutNow(reply.from);
-      return;
-    }
     // Entries left unsent (the max_entries_per_append cap, or a probe that
     // just succeeded)? Keep the pipe full without waiting for the next beat.
     ShipUnsent(reply.from);
@@ -602,8 +576,8 @@ void RaftNode::ApplyCommitted() {
 }
 
 void RaftNode::Propose(std::string command, ProposeCallback done) {
-  if (!alive_ || role_ != RaftRole::kLeader || TransferInProgress()) {
-    // Not leading (or handing leadership off): clients retry elsewhere.
+  if (!alive_ || role_ != RaftRole::kLeader) {
+    // Not leading: clients retry elsewhere.
     if (done) {
       done(0);
     }
@@ -648,82 +622,6 @@ void RaftNode::ProposeNow(std::string command, ProposeCallback done) {
   }
   // Single-node cluster: commit immediately.
   AdvanceCommit();
-}
-
-bool RaftNode::TransferInProgress() {
-  if (transfer_target_ < 0) {
-    return false;
-  }
-  if (mesh_->simulator()->Now() >= transfer_deadline_) {
-    // The successor never took over; resume normal service.
-    transfer_target_ = -1;
-    return false;
-  }
-  return true;
-}
-
-bool RaftNode::TransferLeadership(NodeId target) {
-  if (!is_leader() || target == id_ || target < 0 || target >= mesh_->node_count()) {
-    return false;
-  }
-  transfer_target_ = target;
-  transfer_deadline_ = mesh_->simulator()->Now() + options_.election_timeout_max;
-  if (match_index_[static_cast<size_t>(target)] == log_.last_index()) {
-    SendTimeoutNow(target);
-  } else {
-    // Catch the successor up first; HandleAppendReply fires TimeoutNow once
-    // its match index reaches our last entry.
-    SendAppend(target, next_index_[static_cast<size_t>(target)] - 1);
-  }
-  return true;
-}
-
-void RaftNode::SendTimeoutNow(NodeId peer) {
-  const Term term = current_term_;
-  transfer_target_ = -1;
-  mesh_->endpoint(id_).Send(mesh_->endpoint(peer), net::MessageKind::kRaftVote,
-                            kVoteWireSize, [this, peer, term] {
-    RaftNode* node = peers_(peer);
-    if (node != nullptr && node->alive_) {
-      node->HandleTimeoutNow(term);
-    }
-  });
-}
-
-void RaftNode::HandleTimeoutNow(Term term) {
-  if (!alive_ || term < current_term_ || role_ == RaftRole::kLeader) {
-    return;
-  }
-  // The leader blessed this takeover: campaign immediately, skipping the
-  // pre-vote poll (peers would refuse it — they heard from the leader
-  // moments ago).
-  StartRealElection();
-}
-
-bool RaftNode::HasLeaderLease() const {
-  if (!options_.leader_lease || !is_leader()) {
-    return false;
-  }
-  // The applied state is only provably current once an entry of our own term
-  // has committed (leader completeness covers everything before it).
-  if (log_.TermAt(commit_index_) != current_term_) {
-    return false;
-  }
-  // Majority anchor: the send time of the oldest append among the newest
-  // majority of acknowledged appends (counting ourselves as "now"). A rival
-  // needs votes from a majority; every majority intersects ours, and each of
-  // ours reset its election timer after the anchor — so no rival can finish
-  // an election before anchor + election_timeout_min (pre-vote stickiness
-  // keeps even polls from starting sooner).
-  const SimTime now = mesh_->simulator()->Now();
-  std::vector<SimTime> anchors;
-  anchors.reserve(ack_anchor_.size());
-  for (NodeId peer = 0; peer < mesh_->node_count(); ++peer) {
-    anchors.push_back(peer == id_ ? now : ack_anchor_[static_cast<size_t>(peer)]);
-  }
-  std::sort(anchors.begin(), anchors.end(), std::greater<SimTime>());
-  const SimTime majority_anchor = anchors[static_cast<size_t>(majority() - 1)];
-  return now < majority_anchor + options_.election_timeout_min;
 }
 
 void RaftNode::FailPendingProposals() {

@@ -303,58 +303,6 @@ TEST(RaftTest, PreVotePreventsTermInflation) {
   EXPECT_EQ(cluster.node(leader)->term(), stable_term);
 }
 
-TEST(RaftTest, LeadershipTransferMovesLeader) {
-  Simulator sim(53);
-  Applied applied;
-  RaftCluster cluster(&sim, 3, RaftOptions{}, applied.Factory());
-  const NodeId old_leader = cluster.StartAndElect();
-  ASSERT_GE(old_leader, 0);
-  cluster.SubmitToLeader("before-transfer", {});
-  sim.RunFor(Millis(100));
-  const NodeId target = (old_leader + 1) % 3;
-  ASSERT_TRUE(cluster.TransferLeadership(target));
-  sim.RunFor(Seconds(1));
-  EXPECT_EQ(cluster.LeaderId(), target);
-  EXPECT_FALSE(cluster.node(old_leader)->is_leader());
-  // The new leader commits; the old entry survived the hand-off.
-  bool committed = false;
-  cluster.SubmitToLeader("after-transfer", [&](LogIndex index) { committed = index != 0; });
-  sim.RunFor(Seconds(1));
-  EXPECT_TRUE(committed);
-  EXPECT_EQ(applied.by_node[target],
-            (std::vector<std::string>{"before-transfer", "after-transfer"}));
-}
-
-TEST(RaftTest, LeaderLeaseHeldAndExpiresOnPartition) {
-  Simulator sim(59);
-  Applied applied;
-  RaftOptions options;
-  options.pre_vote = true;
-  options.leader_lease = true;
-  RaftCluster cluster(&sim, 3, options, applied.Factory());
-  const NodeId leader = cluster.StartAndElect();
-  ASSERT_GE(leader, 0);
-  // The election no-op commits and heartbeats anchor a majority quickly.
-  sim.RunFor(Millis(200));
-  EXPECT_TRUE(cluster.node(leader)->HasLeaderLease());
-  // Cut the leader off: its anchors go stale within election_timeout_min and
-  // the lease must lapse before any rival could be elected.
-  cluster.mesh().Isolate(leader, true);
-  sim.RunFor(Millis(300));
-  EXPECT_FALSE(cluster.node(leader)->HasLeaderLease());
-  // The remaining pair may have elected a successor by now, but never two
-  // leases at once, and only an actual leader ever holds one.
-  int leases = 0;
-  for (NodeId id = 0; id < 3; ++id) {
-    if (cluster.node(id)->HasLeaderLease()) {
-      ++leases;
-      EXPECT_TRUE(cluster.node(id)->is_leader()) << "node " << id;
-      EXPECT_NE(id, leader);
-    }
-  }
-  EXPECT_LE(leases, 1);
-}
-
 // Regression: catching up a far-behind follower must cost O(divergence
 // terms) round trips, not O(log length). A follower that missed ~300
 // commits rejoins under a freshly elected leader (whose next_index starts

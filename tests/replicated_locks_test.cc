@@ -1,8 +1,9 @@
 // Tests for the replicated (Raft-backed) lock service of §5.6: the original
 // single-group configuration, the multi-Raft sharded-group configuration,
 // the acquire/release liveness machinery (resubmits and retried releases
-// across leaderless spells), the leader-lease read fast path, and a
-// deployment-level sharded fault sweep with a linearizability check.
+// across leaderless spells), serial and batched acquisition, a
+// deployment-level sharded fault sweep with a linearizability check, and
+// pinned fingerprints of the replicated deployment at one and four groups.
 
 #include <gtest/gtest.h>
 
@@ -325,31 +326,35 @@ TEST_F(ReplicatedLocksTest, AcquireCommittingAfterReleaseIsCompensated) {
 // grant listener that proposes re-enters the state machine mid-apply. Here
 // exec 2 queues behind exec 1 and releases while still queued. The release
 // must cancel the wait: were exec 2 granted by exec 1's release, the
-// listener's compensating release would apply inside that drain. Run it
-// under CHECK_SANITIZE=1 too.
+// listener's compensating release would apply inside that drain. Serial and
+// batched acquisition share one submit path; the test runs it in both modes.
+// Run it under CHECK_SANITIZE=1 too.
 TEST(OneNodeReplicatedLocksTest, ReleaseWhileQueuedCancelsTheWait) {
-  Simulator sim(808);
-  ReplicatedLockService service(&sim, 1);
-  ASSERT_TRUE(service.Bootstrap());
-  bool granted1 = false;
-  bool granted2 = false;
-  service.AcquireAll(1, {"k"}, {LockMode::kWrite}, [&] { granted1 = true; });
-  sim.RunFor(Millis(50));
-  ASSERT_TRUE(granted1);
-  service.AcquireAll(2, {"k"}, {LockMode::kWrite}, [&] { granted2 = true; });
-  sim.RunFor(Millis(50));
-  const LockStateMachine* state = service.LeaderState();
-  ASSERT_NE(state, nullptr);
-  ASSERT_EQ(state->WaitingCount("k"), 1u);
-  service.ReleaseAll(2);
-  sim.RunFor(Millis(50));
-  EXPECT_EQ(state->WaitingCount("k"), 0u);
-  service.ReleaseAll(1);
-  sim.RunFor(Millis(50));
-  EXPECT_FALSE(granted2);
-  EXPECT_EQ(service.compensating_releases(), 0u);
-  EXPECT_EQ(service.held_grants(), 0u);
-  EXPECT_EQ(state->TotalHeldKeys(), 0u);
+  for (const bool batched : {false, true}) {
+    SCOPED_TRACE(batched ? "batched" : "serial");
+    Simulator sim(808);
+    ReplicatedLockService service(&sim, 1, RaftOptions{}, LocalMeshOptions{}, batched);
+    ASSERT_TRUE(service.Bootstrap());
+    bool granted1 = false;
+    bool granted2 = false;
+    service.AcquireAll(1, {"k"}, {LockMode::kWrite}, [&] { granted1 = true; });
+    sim.RunFor(Millis(50));
+    ASSERT_TRUE(granted1);
+    service.AcquireAll(2, {"k"}, {LockMode::kWrite}, [&] { granted2 = true; });
+    sim.RunFor(Millis(50));
+    const LockStateMachine* state = service.LeaderState();
+    ASSERT_NE(state, nullptr);
+    ASSERT_EQ(state->WaitingCount("k"), 1u);
+    service.ReleaseAll(2);
+    sim.RunFor(Millis(50));
+    EXPECT_EQ(state->WaitingCount("k"), 0u);
+    service.ReleaseAll(1);
+    sim.RunFor(Millis(50));
+    EXPECT_FALSE(granted2);
+    EXPECT_EQ(service.compensating_releases(), 0u);
+    EXPECT_EQ(service.held_grants(), 0u);
+    EXPECT_EQ(state->TotalHeldKeys(), 0u);
+  }
 }
 
 // --- Multi-Raft sharded lock groups -----------------------------------------
@@ -416,64 +421,6 @@ TEST(ShardedReplicatedLocksTest, ContentionResolvesInShardKeyOrder) {
   });
   sim.RunFor(Seconds(2));
   EXPECT_EQ(granted, 2);
-}
-
-// --- Leader-lease read fast path --------------------------------------------
-
-TEST(LeaseReadTest, AllReadAcquisitionSkipsCommitAndParksWriters) {
-  Simulator sim(311);
-  RaftOptions options;
-  options.pre_vote = true;
-  options.leader_lease = true;
-  ReplicatedLockService service(&sim, 3, options, LocalMeshOptions{},
-                                /*batched=*/false, /*shards=*/2);
-  ASSERT_TRUE(service.Bootstrap());
-  // Let the election noop commit and lease anchors freshen on every group.
-  sim.RunFor(Millis(300));
-  std::vector<LogIndex> log_before;
-  for (int g = 0; g < service.shards(); ++g) {
-    RaftNode* leader = service.cluster(g).leader();
-    ASSERT_NE(leader, nullptr);
-    EXPECT_TRUE(leader->HasLeaderLease()) << "group " << g;
-    log_before.push_back(leader->log().last_index());
-  }
-  bool read_granted = false;
-  service.AcquireAll(1, {"ra", "rb"}, {LockMode::kRead, LockMode::kRead},
-                     [&] { read_granted = true; });
-  sim.RunFor(Millis(10));
-  EXPECT_TRUE(read_granted);
-  EXPECT_EQ(service.lease_reads(), 1u);
-  EXPECT_EQ(service.lease_read_fallbacks(), 0u);
-  // Zero Raft commits: no group's log grew.
-  for (int g = 0; g < service.shards(); ++g) {
-    EXPECT_EQ(service.cluster(g).leader()->log().last_index(), log_before[g])
-        << "group " << g;
-  }
-  // A writer on a lease-read key parks until the lease readers drain; granting
-  // it early would let it commit underneath an uncommitted local read.
-  bool write_granted = false;
-  service.AcquireAll(2, {"ra"}, {LockMode::kWrite}, [&] { write_granted = true; });
-  sim.RunFor(Millis(200));
-  EXPECT_FALSE(write_granted);
-  service.ReleaseAll(1);
-  sim.RunFor(Millis(200));
-  EXPECT_TRUE(write_granted);
-  EXPECT_TRUE(service.LeaderState(service.router().ShardOf("ra"))->IsWriteHeldBy("ra", 2));
-  service.ReleaseAll(2);
-}
-
-TEST(LeaseReadTest, FallsBackToCommitWithoutLease) {
-  // Same configuration but lease disabled: reads go through the commit path.
-  Simulator sim(313);
-  ReplicatedLockService service(&sim, 3, RaftOptions{}, LocalMeshOptions{},
-                                /*batched=*/false, /*shards=*/2);
-  ASSERT_TRUE(service.Bootstrap());
-  sim.RunFor(Millis(300));
-  bool granted = false;
-  service.AcquireAll(1, {"ra"}, {LockMode::kRead}, [&] { granted = true; });
-  sim.RunFor(Millis(100));
-  EXPECT_TRUE(granted);
-  EXPECT_EQ(service.lease_reads(), 0u);
 }
 
 // --- Deployment-level sharded fault sweep -----------------------------------
@@ -646,6 +593,21 @@ TEST(ShardedReplicatedDeploymentTest, DefaultsAreByteIdenticalToSingleGroup) {
     return fp.substr(from, to - from);
   };
   EXPECT_EQ(store_part(unset), store_part(four));
+}
+
+// The replicated deployment's fingerprints at one and four lock groups,
+// pinned: any change to what the serial acquisition path commits, or when,
+// moves them. Hashed with Value::StableHash, which is stable across
+// platforms and runs.
+TEST(ShardedReplicatedDeploymentTest, FingerprintsArePinnedAtOneAndFourGroups) {
+  const char* saved = std::getenv("RADICAL_SHARDS");
+  const std::string saved_value = saved == nullptr ? "" : saved;
+  unsetenv("RADICAL_SHARDS");
+  const std::string one = ReplicatedFingerprint(1);
+  const std::string four = ReplicatedFingerprint(4);
+  if (saved != nullptr) setenv("RADICAL_SHARDS", saved_value.c_str(), 1);
+  EXPECT_EQ(Value(one).StableHash(), 18297265849205416665ull) << one;
+  EXPECT_EQ(Value(four).StableHash(), 12278051574857639172ull) << four;
 }
 
 }  // namespace

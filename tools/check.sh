@@ -23,7 +23,8 @@
 # deployment a test builds on four groups (multi-Raft) as well.
 #
 # CHECK_REPLICATED=1 tools/check.sh  runs bench/sec5_6_replication at full
-# size (it takes under a second now that Raft appends are pipelined) — which
+# size (it takes under a second now that Raft appends are pipelined; the
+# plain ctest pass runs it too, as the sec5_6_replication test) — which
 # includes the lock-group throughput curve and the leader kill/rejoin
 # linearizability sweep (the bench exits nonzero on lost replies or a
 # non-linearizable history) — and schema-checks the exported
